@@ -81,12 +81,20 @@ endsWith(const std::string &s, const std::string &suffix)
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::string
-formatDouble(double value, int precision)
+void
+appendDouble(std::string &out, double value, int precision)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-    return buf;
+    out += buf;
+}
+
+std::string
+formatDouble(double value, int precision)
+{
+    std::string out;
+    appendDouble(out, value, precision);
+    return out;
 }
 
 std::string

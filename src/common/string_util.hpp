@@ -33,6 +33,9 @@ bool endsWith(const std::string &s, const std::string &suffix);
 /** Fixed-precision decimal formatting (printf "%.*f"). */
 std::string formatDouble(double value, int precision);
 
+/** Append formatDouble(value, precision) to `out` without a temporary. */
+void appendDouble(std::string &out, double value, int precision);
+
 /** Format a ratio as a percentage string like "92.08%". */
 std::string formatPercent(double ratio, int precision = 2);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace cloudseer::common {
 
@@ -53,10 +54,23 @@ formatTimestamp(SimTime t)
 }
 
 bool
-parseTimestamp(const std::string &text, SimTime &out)
+parseTimestamp(std::string_view text, SimTime &out)
 {
+    // sscanf needs a terminated string. Stamps are ~23 bytes, so a
+    // stack copy serves every real line; longer text (garbage) takes
+    // the heap, which keeps the parse identical for any input.
+    char local[64];
+    std::string spill;
+    const char *cstr = local;
+    if (text.size() < sizeof(local)) {
+        std::memcpy(local, text.data(), text.size());
+        local[text.size()] = '\0';
+    } else {
+        spill.assign(text);
+        cstr = spill.c_str();
+    }
     int year = 0, month = 0, day = 0, hh = 0, mm = 0, ss = 0, millis = 0;
-    int n = std::sscanf(text.c_str(), "%d-%d-%d %d:%d:%d.%d",
+    int n = std::sscanf(cstr, "%d-%d-%d %d:%d:%d.%d",
                         &year, &month, &day, &hh, &mm, &ss, &millis);
     if (n != 7 || year != kEpochYear || month != kEpochMonth ||
         day < kEpochDay) {

@@ -11,6 +11,7 @@
 #define CLOUDSEER_COMMON_TIME_UTIL_HPP
 
 #include <string>
+#include <string_view>
 
 namespace cloudseer::common {
 
@@ -30,7 +31,7 @@ void appendTimestamp(SimTime t, std::string &out);
  * @param out       Receives the parsed value on success.
  * @retval true     if the text was a well-formed timestamp.
  */
-bool parseTimestamp(const std::string &text, SimTime &out);
+bool parseTimestamp(std::string_view text, SimTime &out);
 
 } // namespace cloudseer::common
 

@@ -28,14 +28,29 @@ AutomatonGroup::consume(logging::TemplateId tpl, logging::RecordId record,
 {
     if (!canConsume(tpl))
         return false;
-    // Algorithm 1: keep exactly the consuming instances.
-    std::vector<AutomatonInstance> kept;
-    kept.reserve(candidates.size());
-    for (AutomatonInstance &instance : candidates) {
-        if (instance.consume(tpl, now))
-            kept.push_back(std::move(instance));
+    // Algorithm 1: keep exactly the consuming instances, compacted in
+    // place so their order is kept.
+    auto kept = candidates.begin();
+    for (auto it = candidates.begin(); it != candidates.end(); ++it) {
+        if (!it->consume(tpl, now))
+            continue;
+        if (kept != it)
+            *kept = std::move(*it);
+        ++kept;
     }
-    candidates = std::move(kept);
+    if (kept != candidates.end()) {
+        // Narrowing is rare and permanent: give back the dropped
+        // instances' room, and size the history for the longest
+        // survivor (every consumed message takes one of its events) so
+        // it never reallocates again.
+        candidates.erase(kept, candidates.end());
+        candidates.shrink_to_fit();
+        std::size_t longest = 0;
+        for (const AutomatonInstance &instance : candidates)
+            longest = std::max(longest, instance.totalEvents());
+        consumedMessages.reserve(longest);
+        taskNamesValid = false;
+    }
     signatureValid = false;
     consumedMessages.push_back({record, tpl, now});
     if (!anyConsumed) {
@@ -87,16 +102,22 @@ AutomatonGroup::acceptingInstance() const
     return nullptr;
 }
 
-std::vector<std::string>
+const std::vector<std::string> &
 AutomatonGroup::candidateTaskNames() const
 {
-    std::vector<std::string> out;
-    for (const AutomatonInstance &instance : candidates) {
-        const std::string &name = instance.automaton().name();
-        if (std::find(out.begin(), out.end(), name) == out.end())
-            out.push_back(name);
+    if (!taskNamesValid) {
+        // Rebuilt only after narrowing, into an exactly sized vector.
+        std::vector<std::string> names;
+        names.reserve(candidates.size());
+        for (const AutomatonInstance &instance : candidates) {
+            const std::string &name = instance.automaton().name();
+            if (std::find(names.begin(), names.end(), name) == names.end())
+                names.push_back(name);
+        }
+        taskNamesCache = std::move(names);
+        taskNamesValid = true;
     }
-    return out;
+    return taskNamesCache;
 }
 
 bool
@@ -217,6 +238,8 @@ AutomatonGroup::restoreState(
     isZombie = in.readBool();
     signatureValid = false;
     signatureCache.clear();
+    taskNamesValid = false;
+    taskNamesCache.clear();
     return in.ok();
 }
 

@@ -107,8 +107,14 @@ class AutomatonGroup
     /** Creation time (first message's time). */
     common::SimTime createdAt() const { return creationTime; }
 
-    /** Candidate task names (for reports on non-accepted groups). */
-    std::vector<std::string> candidateTaskNames() const;
+    /**
+     * Distinct candidate task names, in candidate order (for timeout
+     * resolution and reports on non-accepted groups). Cached like the
+     * state signature and rebuilt only after consumption narrows the
+     * candidates, so the per-message timeout sweep reads it without
+     * copying.
+     */
+    const std::vector<std::string> &candidateTaskNames() const;
 
     /**
      * Equivalence for the paper's random-selection heuristic: same
@@ -204,6 +210,8 @@ class AutomatonGroup
     std::vector<ConsumedMessage> consumedMessages;
     mutable std::string signatureCache;
     mutable bool signatureValid = false;
+    mutable std::vector<std::string> taskNamesCache;
+    mutable bool taskNamesValid = false;
     common::SimTime lastActivityTime = 0.0;
     common::SimTime creationTime = 0.0;
     bool anyConsumed = false;

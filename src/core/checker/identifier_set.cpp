@@ -59,21 +59,39 @@ void
 IdentifierSet::insert(const std::vector<IdToken> &sorted_unique,
                       std::vector<IdToken> *added)
 {
-    // Single merge pass: collect the genuinely new tokens, then splice
-    // them in (both inputs sorted-unique, so the result is too).
-    std::vector<IdToken> fresh;
-    std::set_difference(sorted_unique.begin(), sorted_unique.end(),
-                        items.begin(), items.end(),
-                        std::back_inserter(fresh));
-    if (!fresh.empty()) {
-        std::vector<IdToken> merged;
-        merged.reserve(items.size() + fresh.size());
-        std::merge(items.begin(), items.end(), fresh.begin(),
-                   fresh.end(), std::back_inserter(merged));
-        items = std::move(merged);
-    }
+    // Count (and, when asked, report) the genuinely new tokens in one
+    // merge walk, then merge them in from the back so the set grows in
+    // its own buffer: no staging vector (both inputs sorted-unique, so
+    // the result is too).
     if (added != nullptr)
-        *added = std::move(fresh);
+        added->clear();
+    std::size_t fresh = 0;
+    auto probe = items.begin();
+    for (IdToken value : sorted_unique) {
+        probe = std::lower_bound(probe, items.end(), value);
+        if (probe == items.end() || *probe != value) {
+            ++fresh;
+            if (added != nullptr)
+                added->push_back(value);
+        }
+    }
+    if (fresh == 0)
+        return;
+    std::size_t kept = items.size();
+    std::size_t incoming = sorted_unique.size();
+    std::size_t write = kept + fresh;
+    items.resize(write);
+    while (incoming > 0) {
+        IdToken value = sorted_unique[incoming - 1];
+        if (kept > 0 && items[kept - 1] >= value) {
+            if (items[kept - 1] == value)
+                --incoming; // already present; the set's copy moves
+            items[--write] = items[--kept];
+        } else {
+            items[--write] = value;
+            --incoming;
+        }
+    }
 }
 
 void

@@ -25,6 +25,16 @@ InterleavedChecker::InterleavedChecker(
             knownTemplates[tpl] = 1;
         }
     }
+    startersByTemplate.resize(knownTemplates.size());
+    for (const TaskAutomaton *automaton : automatonSet) {
+        const AutomatonInstance fresh(automaton);
+        for (std::size_t tpl = 0; tpl < knownTemplates.size(); ++tpl) {
+            if (knownTemplates[tpl] != 0 &&
+                fresh.canConsume(static_cast<logging::TemplateId>(tpl))) {
+                startersByTemplate[tpl].push_back(automaton);
+            }
+        }
+    }
 }
 
 bool
@@ -123,26 +133,29 @@ InterleavedChecker::annotateLatency(CheckEvent &event,
            event.totalElapsed > event.totalBudget;
 }
 
-std::vector<std::uint64_t>
+void
 InterleavedChecker::selectIdSets(const std::vector<IdToken> &view,
                                  int max_overlap_exclusive,
-                                 int *overlap_out, bool tie_break) const
+                                 int *overlap_out, bool tie_break,
+                                 std::vector<std::uint64_t> &selected)
 {
-    return config.routingIndex
-               ? selectIdSetsIndexed(view, max_overlap_exclusive,
-                                     overlap_out, tie_break)
-               : selectIdSetsScan(view, max_overlap_exclusive,
-                                  overlap_out, tie_break);
+    if (config.routingIndex)
+        selectIdSetsIndexed(view, max_overlap_exclusive, overlap_out,
+                            tie_break, selected);
+    else
+        selectIdSetsScan(view, max_overlap_exclusive, overlap_out,
+                         tie_break, selected);
 }
 
-std::vector<std::uint64_t>
+void
 InterleavedChecker::selectIdSetsScan(const std::vector<IdToken> &view,
                                      int max_overlap_exclusive,
-                                     int *overlap_out,
-                                     bool tie_break) const
+                                     int *overlap_out, bool tie_break,
+                                     std::vector<std::uint64_t> &selected) const
 {
     // Best overlap below the (optional) exclusive bound; ties broken by
     // least symmetric difference when configured (paper heuristic 1).
+    selected.clear();
     int best = 0;
     for (const auto &[id, entry] : idsets) {
         int ov = entry.ids.overlap(view);
@@ -152,9 +165,8 @@ InterleavedChecker::selectIdSetsScan(const std::vector<IdToken> &view,
     }
     if (overlap_out != nullptr)
         *overlap_out = best;
-    std::vector<std::uint64_t> selected;
     if (best == 0)
-        return selected;
+        return;
 
     int least_diff = -1;
     for (const auto &[id, entry] : idsets) {
@@ -176,33 +188,38 @@ InterleavedChecker::selectIdSetsScan(const std::vector<IdToken> &view,
             selected.push_back(id);
         }
     }
-    return selected;
 }
 
-std::vector<std::uint64_t>
+void
 InterleavedChecker::selectIdSetsIndexed(const std::vector<IdToken> &view,
                                         int max_overlap_exclusive,
-                                        int *overlap_out,
-                                        bool tie_break) const
+                                        int *overlap_out, bool tie_break,
+                                        std::vector<std::uint64_t> &selected)
 {
     // Posting-list accumulation: a set's count of hits across the
     // message's distinct tokens IS its overlap, and any set sharing no
     // token has overlap 0 — which the scan path can never select
-    // either (best == 0 returns empty; positive bounds are >= 2). The
-    // candidates are sorted by set id so the selection order matches
-    // the scan's ascending-map iteration exactly.
-    std::vector<std::pair<std::uint64_t, int>> candidates;
-    {
-        std::unordered_map<std::uint64_t, int> counts;
-        for (IdToken token : view) {
-            auto it = postings.find(token);
-            if (it == postings.end())
-                continue;
-            for (std::uint64_t set_id : it->second)
-                ++counts[set_id];
-        }
-        candidates.assign(counts.begin(), counts.end());
-        std::sort(candidates.begin(), candidates.end());
+    // either (best == 0 returns empty; positive bounds are >= 2).
+    // Sorting the hits groups each set's into one run, in ascending
+    // set id, so the selection order matches the scan's ascending-map
+    // iteration exactly.
+    selected.clear();
+    hitScratch.clear();
+    for (IdToken token : view) {
+        auto it = postings.find(token);
+        if (it != postings.end())
+            hitScratch.insert(hitScratch.end(), it->second.begin(),
+                              it->second.end());
+    }
+    std::sort(hitScratch.begin(), hitScratch.end());
+    std::vector<std::pair<std::uint64_t, int>> &candidates = overlapScratch;
+    candidates.clear();
+    for (std::size_t i = 0; i < hitScratch.size();) {
+        std::size_t run = i;
+        while (run < hitScratch.size() && hitScratch[run] == hitScratch[i])
+            ++run;
+        candidates.emplace_back(hitScratch[i], static_cast<int>(run - i));
+        i = run;
     }
 
     int best = 0;
@@ -213,9 +230,8 @@ InterleavedChecker::selectIdSetsIndexed(const std::vector<IdToken> &view,
     }
     if (overlap_out != nullptr)
         *overlap_out = best;
-    std::vector<std::uint64_t> selected;
     if (best == 0)
-        return selected;
+        return;
 
     int least_diff = -1;
     for (const auto &[set_id, ov] : candidates) {
@@ -237,7 +253,6 @@ InterleavedChecker::selectIdSetsIndexed(const std::vector<IdToken> &view,
             selected.push_back(set_id);
         }
     }
-    return selected;
 }
 
 std::size_t
@@ -258,11 +273,11 @@ InterleavedChecker::equivalencePickIndex(std::size_t pool_size)
     return static_cast<std::size_t>(x % pool_size);
 }
 
-std::vector<GroupId>
+void
 InterleavedChecker::candidateGroups(
-    const std::vector<std::uint64_t> &set_ids)
+    const std::vector<std::uint64_t> &set_ids, std::vector<GroupId> &out)
 {
-    std::vector<GroupId> out;
+    out.clear();
     for (std::uint64_t set_id : set_ids) {
         auto set_it = idsets.find(set_id);
         if (set_it == idsets.end())
@@ -287,44 +302,61 @@ InterleavedChecker::candidateGroups(
         // Paper heuristic 2: among equivalent groups under one set,
         // randomly select a single representative. Classes are keyed
         // by the cached state signature (equal signatures ⟺
-        // equivalentTo), in first-member order — the same classes the
-        // pairwise comparison used to build, without the O(members²)
-        // instance-state walks.
-        std::vector<std::vector<GroupId>> classes;
-        std::unordered_map<std::string_view, std::size_t> class_of;
-        for (GroupId gid : members) {
-            auto git = groups.find(gid);
-            if (git == groups.end())
-                continue;
-            std::string_view sig = git->second.stateSignature();
-            auto [cls_it, fresh] =
-                class_of.try_emplace(sig, classes.size());
-            if (fresh)
-                classes.emplace_back();
-            classes[cls_it->second].push_back(gid);
+        // equivalentTo) and visited in first-member order, each with
+        // its members in member order. Sorting (signature, position)
+        // pairs forms the classes without the O(members²)
+        // instance-state walks and without a per-call hash table.
+        memberScratch.clear();
+        for (std::size_t pos = 0; pos < members.size(); ++pos) {
+            auto git = groups.find(members[pos]);
+            if (git != groups.end())
+                memberScratch.push_back(
+                    {git->second.stateSignature(), pos, members[pos]});
         }
-        for (auto &cls : classes) {
+        std::sort(memberScratch.begin(), memberScratch.end(),
+                  [](const ClassMember &a, const ClassMember &b) {
+                      if (a.signature != b.signature)
+                          return a.signature < b.signature;
+                      return a.position < b.position;
+                  });
+        classScratch.clear();
+        for (std::size_t i = 0; i < memberScratch.size(); ++i) {
+            if (i == 0 ||
+                memberScratch[i].signature != memberScratch[i - 1].signature)
+                classScratch.emplace_back(memberScratch[i].position, i);
+        }
+        std::sort(classScratch.begin(), classScratch.end());
+        for (const auto &cls : classScratch) {
+            const std::size_t run_start = cls.second;
+            std::size_t run_end = run_start + 1;
+            while (run_end < memberScratch.size() &&
+                   memberScratch[run_end].signature ==
+                       memberScratch[run_start].signature) {
+                ++run_end;
+            }
             // Prefer live members: a zombie that is state-equivalent
             // to a live group must not steal its messages (silent
             // absorption is a last resort, or starved live groups
             // zombify in a self-sustaining cascade).
-            std::vector<GroupId> live;
-            for (GroupId gid : cls) {
-                if (!groups.at(gid).zombie())
-                    live.push_back(gid);
+            poolScratch.clear();
+            for (std::size_t i = run_start; i < run_end; ++i) {
+                if (!groups.at(memberScratch[i].gid).zombie())
+                    poolScratch.push_back(memberScratch[i].gid);
             }
-            std::vector<GroupId> &pool = live.empty() ? cls : live;
+            if (poolScratch.empty()) {
+                for (std::size_t i = run_start; i < run_end; ++i)
+                    poolScratch.push_back(memberScratch[i].gid);
+            }
             GroupId chosen =
-                pool.size() == 1
-                    ? pool.front()
-                    : pool[equivalencePickIndex(pool.size())];
+                poolScratch.size() == 1
+                    ? poolScratch.front()
+                    : poolScratch[equivalencePickIndex(poolScratch.size())];
             out.push_back(chosen);
         }
     }
     // A group can be reachable through several sets; keep it once.
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
 }
 
 void
@@ -448,12 +480,30 @@ InterleavedChecker::applyDecisiveIdUpdate(
         // Sole owner: expand in place (the paper's ID ∪ m.Sv). The
         // index follows: new tokens gain a posting, and the set is
         // re-keyed under its new contents.
-        contentsRemove(set_it->first, entry.ids.values());
-        std::vector<IdToken> added;
-        entry.ids.insert(view, &added);
-        for (IdToken token : added)
-            postings[token].push_back(set_it->first);
-        contentsAdd(set_it->first, entry.ids.values());
+        const std::uint64_t set_id = set_it->first;
+        auto contents_it = setsByContents.find(entry.ids.values());
+        CS_ASSERT(contents_it != setsByContents.end(),
+                  "contents-map entry missing");
+        if (contents_it->second.size() != 1) {
+            contentsRemove(set_id, entry.ids.values());
+            entry.ids.insert(view, &addedScratch);
+            contentsAdd(set_id, entry.ids.values());
+        } else {
+            // Alone under its old contents (the usual case): move the
+            // map node over whole, rewriting its key in place, so the
+            // re-key reuses the node and the key's buffer.
+            auto node = setsByContents.extract(contents_it);
+            entry.ids.insert(view, &addedScratch);
+            node.key() = entry.ids.values();
+            auto placed = setsByContents.insert(std::move(node));
+            if (!placed.inserted) {
+                std::vector<std::uint64_t> &ids = placed.position->second;
+                ids.insert(std::lower_bound(ids.begin(), ids.end(), set_id),
+                           set_id);
+            }
+        }
+        for (IdToken token : addedScratch)
+            postings[token].push_back(set_id);
         return;
     }
     // Shared set: split off an expanded copy for this group.
@@ -526,7 +576,8 @@ InterleavedChecker::pruneLineageOnAccept(GroupId winner)
         }
     }
 
-    std::vector<GroupId> removal;
+    std::vector<GroupId> &removal = removalScratch;
+    removal.clear();
 
     auto addRivalsOf = [this, &removal](GroupId gid) {
         auto it = groups.find(gid);
@@ -584,6 +635,8 @@ InterleavedChecker::makeEvent(CheckEventKind kind,
                 instance->automaton().event(e).tpl);
         event.expectedTemplates = instance->expectedTemplates();
     }
+    // One spare slot: the error criterion appends the diverging record.
+    event.records.reserve(group.history().size() + 1);
     for (const ConsumedMessage &msg : group.history())
         event.records.push_back(msg.record);
     auto rel = groupToSet.find(group.id());
@@ -599,7 +652,7 @@ InterleavedChecker::makeEvent(CheckEventKind kind,
 }
 
 void
-InterleavedChecker::harvestAcceptance(const std::vector<GroupId> &touched,
+InterleavedChecker::harvestAcceptance(std::span<const GroupId> touched,
                                       common::SimTime now,
                                       std::vector<CheckEvent> &events)
 {
@@ -652,10 +705,10 @@ InterleavedChecker::applyErrorCriterion(const CheckMessage &message,
     // Most likely group: best identifier overlap, preferring live
     // (non-zombie) hypotheses.
     int overlap = 0;
-    std::vector<std::uint64_t> sel = selectIdSets(
-        view, -1, &overlap, config.tieBreakLeastDifference);
+    selectIdSets(view, -1, &overlap, config.tieBreakLeastDifference,
+                 selectedScratch);
     GroupId chosen = 0;
-    for (std::uint64_t set_id : sel) {
+    for (std::uint64_t set_id : selectedScratch) {
         auto set_it = idsets.find(set_id);
         if (set_it == idsets.end())
             continue;
@@ -709,8 +762,12 @@ InterleavedChecker::feed(const CheckMessage &message)
 
     // One dedup per message: every overlap / difference / insert below
     // works on this sorted-unique token view.
-    const std::vector<IdToken> view =
-        IdentifierSet::dedupSorted(message.identifiers);
+    viewScratch.assign(message.identifiers.begin(),
+                       message.identifiers.end());
+    std::sort(viewScratch.begin(), viewScratch.end());
+    viewScratch.erase(std::unique(viewScratch.begin(), viewScratch.end()),
+                      viewScratch.end());
+    const std::vector<IdToken> &view = viewScratch;
 
     // Recovery (a), hoisted: a template outside every automaton's Σ can
     // never be consumed. Non-error messages pass through; error
@@ -726,20 +783,21 @@ InterleavedChecker::feed(const CheckMessage &message)
 
     // --- selection (Algorithm 2 lines 1-3) ----------------------------
     int best_overlap = 0;
-    std::vector<GroupId> candidates;
+    std::vector<GroupId> &candidates = candidateScratch;
     if (config.identifierRouting && !view.empty()) {
-        std::vector<std::uint64_t> sel =
-            selectIdSets(view, -1, &best_overlap,
-                         config.tieBreakLeastDifference);
-        candidates = candidateGroups(sel);
+        selectIdSets(view, -1, &best_overlap,
+                     config.tieBreakLeastDifference, selectedScratch);
+        candidateGroups(selectedScratch, candidates);
     } else {
+        candidates.clear();
         for (const auto &[gid, group] : groups)
             candidates.push_back(gid);
     }
 
     // --- trial consumption (lines 4-8) --------------------------------
     counters.consumeAttempts += candidates.size();
-    std::vector<GroupId> consuming;
+    std::vector<GroupId> &consuming = consumingScratch;
+    consuming.clear();
     for (GroupId gid : candidates) {
         auto it = groups.find(gid);
         if (it != groups.end() && it->second.canConsume(message.tpl))
@@ -755,11 +813,13 @@ InterleavedChecker::feed(const CheckMessage &message)
             tracer->annotate(gid, message.time,
                              obs::ConsumeAnnotation::Decisive);
         applyDecisiveIdUpdate(gid, view);
-        harvestAcceptance({gid}, message.time, events);
+        harvestAcceptance({&gid, 1}, message.time, events);
     };
 
     auto doAmbiguous = [this, &message, &view,
-                        &events](std::vector<GroupId> gids) {
+                        &events](const std::vector<GroupId> &contenders) {
+        std::vector<GroupId> &gids = forkScratch;
+        gids.assign(contenders.begin(), contenders.end());
         // Case (2): fork a consuming clone of every contender; all
         // clones share one pooled identifier set (ID1 ∪ ID2 ∪ m.Sv).
         // Bounded fan-out: prefer the most-developed hypotheses.
@@ -776,7 +836,8 @@ InterleavedChecker::feed(const CheckMessage &message)
         std::uint64_t rival_set = nextRivalSet++;
         if (rivalBirths != nullptr)
             ++*rivalBirths;
-        std::vector<GroupId> touched;
+        std::vector<GroupId> &touched = touchedScratch;
+        touched.clear();
         for (GroupId gid : gids) {
             auto set_it = idsets.find(groupToSet.at(gid));
             if (set_it != idsets.end())
@@ -835,10 +896,14 @@ InterleavedChecker::feed(const CheckMessage &message)
     }
 
     // --- divergence recovery (case 3) ----------------------------------
-    // (b) the message may start a new sequence.
+    // (b) the message may start a new sequence. The group is built from
+    // the memoised starters only: the same instances, in the same
+    // order, that consume() would keep of a group over every automaton.
     {
-        AutomatonGroup fresh(nextGroupId, automatonSet);
-        if (fresh.canConsume(message.tpl)) {
+        const std::vector<const TaskAutomaton *> &starters =
+            startersByTemplate[message.tpl];
+        if (!starters.empty()) {
+            AutomatonGroup fresh(nextGroupId, starters);
             ++nextGroupId;
             if (groupBirths != nullptr)
                 groupBirths->push_back(fresh.id());
@@ -852,7 +917,7 @@ InterleavedChecker::feed(const CheckMessage &message)
                 tracer->annotate(
                     gid, message.time,
                     obs::ConsumeAnnotation::RecoveryNewSequence);
-            harvestAcceptance({gid}, message.time, events);
+            harvestAcceptance({&gid, 1}, message.time, events);
             return events;
         }
     }
@@ -862,13 +927,13 @@ InterleavedChecker::feed(const CheckMessage &message)
     // overlap ranks.
     if (config.identifierRouting && !view.empty()) {
         auto tryLevel =
-            [this, &message,
-             &events](const std::vector<std::uint64_t> &sel,
-                      auto &doDecisiveFn, auto &doAmbiguousFn) {
-                std::vector<GroupId> level_groups =
-                    candidateGroups(sel);
+            [this, &message](const std::vector<std::uint64_t> &sel,
+                             auto &doDecisiveFn, auto &doAmbiguousFn) {
+                std::vector<GroupId> &level_groups = levelScratch;
+                candidateGroups(sel, level_groups);
                 counters.consumeAttempts += level_groups.size();
-                std::vector<GroupId> takers;
+                std::vector<GroupId> &takers = consumingScratch;
+                takers.clear();
                 for (GroupId gid : level_groups) {
                     auto it = groups.find(gid);
                     if (it != groups.end() &&
@@ -892,19 +957,18 @@ InterleavedChecker::feed(const CheckMessage &message)
                 return true;
             };
 
+        std::vector<std::uint64_t> &sel = selectedScratch;
         if (config.tieBreakLeastDifference && best_overlap > 0) {
             int level = 0;
-            std::vector<std::uint64_t> sel =
-                selectIdSets(view, -1, &level, /*tie_break=*/false);
+            selectIdSets(view, -1, &level, /*tie_break=*/false, sel);
             if (tryLevel(sel, doDecisive, doAmbiguous))
                 return events;
         }
         int bound = best_overlap;
         while (bound > 1) {
             int level = 0;
-            std::vector<std::uint64_t> sel =
-                selectIdSets(view, bound, &level,
-                             config.tieBreakLeastDifference);
+            selectIdSets(view, bound, &level,
+                         config.tieBreakLeastDifference, sel);
             if (sel.empty() || level == 0)
                 break;
             if (tryLevel(sel, doDecisive, doAmbiguous))
@@ -934,7 +998,7 @@ InterleavedChecker::feed(const CheckMessage &message)
                                    [{edge.from, edge.to}];
                 }
                 applyDecisiveIdUpdate(gid, view);
-                harvestAcceptance({gid}, message.time, events);
+                harvestAcceptance({&gid, 1}, message.time, events);
                 return events;
             }
         }
@@ -995,16 +1059,13 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
 {
     std::vector<CheckEvent> events;
     traceNow = now;
-    std::vector<GroupId> snapshot;
-    snapshot.reserve(groups.size());
-    for (const auto &[gid, group] : groups)
-        snapshot.push_back(gid);
-
-    for (GroupId gid : snapshot) {
-        auto it = groups.find(gid);
-        if (it == groups.end())
-            continue;
-        AutomatonGroup &group = it->second;
+    // Walk the live map directly: the loop erases at most the group it
+    // stands on and creates none, so advancing first visits exactly
+    // the groups that were live when the sweep began.
+    for (auto it = groups.begin(); it != groups.end();) {
+        const GroupId gid = it->first;
+        auto current = it++;
+        AutomatonGroup &group = current->second;
         double timeout = resolver(group.candidateTaskNames());
         maxResolvedTimeout = std::max(maxResolvedTimeout, timeout);
         if (group.zombie()) {

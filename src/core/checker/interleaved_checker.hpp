@@ -29,6 +29,8 @@
 
 #include <functional>
 #include <map>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -296,6 +298,15 @@ class InterleavedChecker : public BaseChecker
     CheckerConfig config;
     std::vector<const TaskAutomaton *> automatonSet;
     std::vector<char> knownTemplates; // indexed by TemplateId
+
+    /**
+     * Recovery (b) memo, indexed by TemplateId: the automata whose
+     * fresh instance can consume the template, in automatonSet order.
+     * A fresh group built from exactly these equals a fresh group over
+     * every automaton after its first consume(), which keeps exactly
+     * the consuming instances in order.
+     */
+    std::vector<std::vector<const TaskAutomaton *>> startersByTemplate;
     CheckerStats counters;
 
     /** seer-prove certified-unambiguous bitmap (config-like; empty =
@@ -347,33 +358,34 @@ class InterleavedChecker : public BaseChecker
 
     /**
      * Identifier-set ids with the best overlap below the exclusive
-     * bound (-1 = unbounded). `view` must be sorted-unique (one
-     * dedup per message, done in feed). `tie_break` applies the
-     * least-difference heuristic among equal overlaps; recovery (c)
-     * retries without it so tie-break losers get their chance before
-     * lower ranks. Dispatches to the indexed or scan implementation
-     * per config.routingIndex; both return identical selections.
+     * bound (-1 = unbounded), ascending, into `selected`. `view` must
+     * be sorted-unique (one dedup per message, done in feed).
+     * `tie_break` applies the least-difference heuristic among equal
+     * overlaps; recovery (c) retries without it so tie-break losers
+     * get their chance before lower ranks. Dispatches to the indexed
+     * or scan implementation per config.routingIndex; both return
+     * identical selections.
      */
-    std::vector<std::uint64_t>
-    selectIdSets(const std::vector<logging::IdToken> &view,
-                 int max_overlap_exclusive, int *overlap_out,
-                 bool tie_break) const;
+    void selectIdSets(const std::vector<logging::IdToken> &view,
+                      int max_overlap_exclusive, int *overlap_out,
+                      bool tie_break, std::vector<std::uint64_t> &selected);
 
     /** Reference implementation: linear scan over all live sets. */
-    std::vector<std::uint64_t>
-    selectIdSetsScan(const std::vector<logging::IdToken> &view,
-                     int max_overlap_exclusive, int *overlap_out,
-                     bool tie_break) const;
+    void selectIdSetsScan(const std::vector<logging::IdToken> &view,
+                          int max_overlap_exclusive, int *overlap_out,
+                          bool tie_break,
+                          std::vector<std::uint64_t> &selected) const;
 
     /** Indexed implementation: posting-list accumulation. */
-    std::vector<std::uint64_t>
-    selectIdSetsIndexed(const std::vector<logging::IdToken> &view,
-                        int max_overlap_exclusive, int *overlap_out,
-                        bool tie_break) const;
+    void selectIdSetsIndexed(const std::vector<logging::IdToken> &view,
+                             int max_overlap_exclusive, int *overlap_out,
+                             bool tie_break,
+                             std::vector<std::uint64_t> &selected);
 
-    /** Candidate groups of the selected sets, deduped per config. */
-    std::vector<GroupId>
-    candidateGroups(const std::vector<std::uint64_t> &set_ids);
+    /** Candidate groups of the selected sets, deduped per config, into
+     *  `out` (ascending). */
+    void candidateGroups(const std::vector<std::uint64_t> &set_ids,
+                         std::vector<GroupId> &out);
 
     /** Case 1 bookkeeping: expand or re-home the group's set. */
     void applyDecisiveIdUpdate(GroupId group,
@@ -518,9 +530,53 @@ class InterleavedChecker : public BaseChecker
                          common::SimTime time) const;
 
     /** Handle acceptance on a set of touched groups. */
-    void harvestAcceptance(const std::vector<GroupId> &touched,
+    void harvestAcceptance(std::span<const GroupId> touched,
                            common::SimTime now,
                            std::vector<CheckEvent> &events);
+
+    // --- per-message scratch (DESIGN.md §18) ---------------------------
+    //
+    // Reused across calls so a steady-state feed() allocates only for
+    // state that outlives the message (new groups, new identifier
+    // sets, reports). None of this is checker state: saveState never
+    // writes it and nothing reads it across messages.
+
+    /** feed()'s sorted-unique token view of the message. */
+    std::vector<logging::IdToken> viewScratch;
+    /** Output of the latest selectIdSets call. */
+    std::vector<std::uint64_t> selectedScratch;
+    /** Indexed selection: set id per posting hit, then sorted. */
+    std::vector<std::uint64_t> hitScratch;
+    /** Indexed selection: (set id, overlap), ascending set id. */
+    std::vector<std::pair<std::uint64_t, int>> overlapScratch;
+    /** Case 1/2 candidates; kept until recovery (d) reads them. */
+    std::vector<GroupId> candidateScratch;
+    /** Recovery (c) candidates of the current overlap level. */
+    std::vector<GroupId> levelScratch;
+    /** Candidates that can consume the message. */
+    std::vector<GroupId> consumingScratch;
+    /** Case 2: the hypotheses to fork, and their clones. */
+    std::vector<GroupId> forkScratch;
+    std::vector<GroupId> touchedScratch;
+
+    /** candidateGroups: one live member of a set, with its state
+     *  signature and its position in the member list. */
+    struct ClassMember
+    {
+        std::string_view signature;
+        std::size_t position = 0;
+        GroupId gid = 0;
+    };
+    std::vector<ClassMember> memberScratch;
+    /** candidateGroups: (first member position, run start) per class. */
+    std::vector<std::pair<std::size_t, std::size_t>> classScratch;
+    /** candidateGroups: the draw pool of one class. */
+    std::vector<GroupId> poolScratch;
+
+    /** pruneLineageOnAccept's removal set. */
+    std::vector<GroupId> removalScratch;
+    /** applyDecisiveIdUpdate: tokens new to the expanded set. */
+    std::vector<logging::IdToken> addedScratch;
 
     /** Error-message criterion (paper §4, Problem Detection). */
     void applyErrorCriterion(const CheckMessage &message,

@@ -1,5 +1,6 @@
 #include "core/monitor/report_json.hpp"
 
+#include <charconv>
 #include <cstdio>
 
 #include "common/string_util.hpp"
@@ -7,11 +8,9 @@
 
 namespace cloudseer::core {
 
-std::string
-jsonEscape(const std::string &raw)
+void
+appendJsonEscaped(std::string &out, std::string_view raw)
 {
-    std::string out;
-    out.reserve(raw.size() + 8);
     for (char c : raw) {
         switch (c) {
           case '"':
@@ -40,94 +39,145 @@ jsonEscape(const std::string &raw)
             }
         }
     }
+}
+
+std::string
+jsonEscape(const std::string &raw)
+{
+    std::string out;
+    out.reserve(raw.size() + 8);
+    appendJsonEscaped(out, raw);
     return out;
 }
 
 namespace {
 
-std::string
-jsonStringArray(const std::vector<std::string> &items)
+/** Append an integer as std::to_string renders it. */
+template <typename Int>
+void
+appendInt(std::string &out, Int value)
 {
-    std::string out = "[";
+    char buf[24];
+    auto result = std::to_chars(buf, buf + sizeof(buf), value);
+    out.append(buf, result.ptr);
+}
+
+/** Append a template's label (TemplateCatalog::label) as a JSON string. */
+void
+appendLabel(std::string &out, const logging::TemplateCatalog &catalog,
+            logging::TemplateId tpl)
+{
+    out += '"';
+    appendJsonEscaped(out, catalog.service(tpl));
+    out += ": ";
+    appendJsonEscaped(out, catalog.text(tpl));
+    out += '"';
+}
+
+void
+appendStringArray(std::string &out, const std::vector<std::string> &items)
+{
+    out += '[';
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0)
-            out += ",";
-        out += "\"" + jsonEscape(items[i]) + "\"";
+            out += ',';
+        out += '"';
+        appendJsonEscaped(out, items[i]);
+        out += '"';
     }
-    out += "]";
-    return out;
+    out += ']';
+}
+
+void
+appendLabelArray(std::string &out, const logging::TemplateCatalog &catalog,
+                 const std::vector<logging::TemplateId> &tpls)
+{
+    out += '[';
+    for (std::size_t i = 0; i < tpls.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        appendLabel(out, catalog, tpls[i]);
+    }
+    out += ']';
 }
 
 } // namespace
 
-std::string
-reportToJson(const MonitorReport &report,
-             const logging::TemplateCatalog &catalog)
+void
+appendReportJson(std::string &out, const MonitorReport &report,
+                 const logging::TemplateCatalog &catalog)
 {
     const CheckEvent &event = report.event;
 
-    std::vector<std::string> states;
-    for (logging::TemplateId tpl : event.frontierTemplates)
-        states.push_back(catalog.label(tpl));
-    std::vector<std::string> expected;
-    for (logging::TemplateId tpl : event.expectedTemplates)
-        expected.push_back(catalog.label(tpl));
-
-    std::string out = "{";
-    out += "\"kind\":\"" +
-           std::string(checkEventKindName(event.kind)) + "\",";
-    out += "\"task\":\"" + jsonEscape(event.taskName) + "\",";
-    out += "\"time\":" + common::formatDouble(event.time, 3) + ",";
-    out += "\"start\":" + common::formatDouble(event.startTime, 3) + ",";
-    out += "\"duration\":" +
-           common::formatDouble(event.time - event.startTime, 3) + ",";
-    out += std::string("\"endOfStream\":") +
-           (report.endOfStream ? "true" : "false") + ",";
-    out += "\"messages\":" + std::to_string(event.records.size()) + ",";
-    out += "\"records\":[";
+    out += "{\"kind\":\"";
+    out += checkEventKindName(event.kind);
+    out += "\",\"task\":\"";
+    appendJsonEscaped(out, event.taskName);
+    out += "\",\"time\":";
+    common::appendDouble(out, event.time, 3);
+    out += ",\"start\":";
+    common::appendDouble(out, event.startTime, 3);
+    out += ",\"duration\":";
+    common::appendDouble(out, event.time - event.startTime, 3);
+    out += ",\"endOfStream\":";
+    out += report.endOfStream ? "true" : "false";
+    out += ",\"messages\":";
+    appendInt(out, event.records.size());
+    out += ",\"records\":[";
     for (std::size_t i = 0; i < event.records.size(); ++i) {
         if (i > 0)
-            out += ",";
-        out += std::to_string(event.records[i]);
+            out += ',';
+        appendInt(out, event.records[i]);
     }
-    out += "],";
-    out += "\"candidates\":" + jsonStringArray(event.candidateTasks) +
-           ",";
-    out += "\"states\":" + jsonStringArray(states) + ",";
-    out += "\"expected\":" + jsonStringArray(expected);
+    out += "],\"candidates\":";
+    appendStringArray(out, event.candidateTasks);
+    out += ",\"states\":";
+    appendLabelArray(out, catalog, event.frontierTemplates);
+    out += ",\"expected\":";
+    appendLabelArray(out, catalog, event.expectedTemplates);
     if (event.totalBudget >= 0.0) {
-        out += ",\"latency\":{";
-        out += "\"total\":" +
-               common::formatDouble(event.totalElapsed, 3) + ",";
-        out += "\"budget\":" +
-               common::formatDouble(event.totalBudget, 3) + ",";
-        out += "\"criticalPath\":[";
+        out += ",\"latency\":{\"total\":";
+        common::appendDouble(out, event.totalElapsed, 3);
+        out += ",\"budget\":";
+        common::appendDouble(out, event.totalBudget, 3);
+        out += ",\"criticalPath\":[";
         for (std::size_t i = 0; i < event.criticalPath.size(); ++i) {
             if (i > 0)
-                out += ",";
-            out += std::to_string(event.criticalPath[i]);
+                out += ',';
+            appendInt(out, event.criticalPath[i]);
         }
         out += "],\"edges\":[";
         for (std::size_t i = 0; i < event.edgeTimings.size(); ++i) {
             const EdgeTiming &timing = event.edgeTimings[i];
             if (i > 0)
-                out += ",";
-            out += "{\"from\":" + std::to_string(timing.from) +
-                   ",\"to\":" + std::to_string(timing.to) +
-                   ",\"fromLabel\":\"" +
-                   jsonEscape(catalog.label(timing.fromTpl)) +
-                   "\",\"toLabel\":\"" +
-                   jsonEscape(catalog.label(timing.toTpl)) +
-                   "\",\"elapsed\":" +
-                   common::formatDouble(timing.elapsed, 3) +
-                   ",\"budget\":" +
-                   common::formatDouble(timing.budget, 3) +
-                   ",\"exceeded\":" +
-                   (timing.exceeded ? "true" : "false") + "}";
+                out += ',';
+            out += "{\"from\":";
+            appendInt(out, timing.from);
+            out += ",\"to\":";
+            appendInt(out, timing.to);
+            out += ",\"fromLabel\":";
+            appendLabel(out, catalog, timing.fromTpl);
+            out += ",\"toLabel\":";
+            appendLabel(out, catalog, timing.toTpl);
+            out += ",\"elapsed\":";
+            common::appendDouble(out, timing.elapsed, 3);
+            out += ",\"budget\":";
+            common::appendDouble(out, timing.budget, 3);
+            out += ",\"exceeded\":";
+            out += timing.exceeded ? "true" : "false";
+            out += '}';
         }
         out += "]}";
     }
-    out += "}";
+    out += '}';
+}
+
+std::string
+reportToJson(const MonitorReport &report,
+             const logging::TemplateCatalog &catalog)
+{
+    std::string out;
+    appendReportJson(out, report, catalog);
     return out;
 }
 

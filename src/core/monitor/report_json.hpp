@@ -15,6 +15,7 @@
 #define CLOUDSEER_CORE_MONITOR_REPORT_JSON_HPP
 
 #include <string>
+#include <string_view>
 
 #include "core/monitor/report.hpp"
 
@@ -25,9 +26,16 @@ struct IngestStats;
 /** Escape a string per JSON rules. */
 std::string jsonEscape(const std::string &raw);
 
+/** Append jsonEscape(raw) to `out` without a temporary. */
+void appendJsonEscaped(std::string &out, std::string_view raw);
+
 /** Render one report as a single-line JSON object. */
 std::string reportToJson(const MonitorReport &report,
                          const logging::TemplateCatalog &catalog);
+
+/** Append reportToJson(report, catalog) to `out` without temporaries. */
+void appendReportJson(std::string &out, const MonitorReport &report,
+                      const logging::TemplateCatalog &catalog);
 
 /**
  * Final summary record for the report stream: checker and ingest

@@ -1,6 +1,7 @@
 #include "core/monitor/workflow_monitor.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <sstream>
 #include <thread>
@@ -221,6 +222,13 @@ WorkflowMonitor::WorkflowMonitor(
 std::vector<MonitorReport>
 WorkflowMonitor::feed(const logging::LogRecord &record)
 {
+    return admit(record, nullptr);
+}
+
+std::vector<MonitorReport>
+WorkflowMonitor::admit(const logging::LogRecord &record,
+                       logging::LogRecord *owned)
+{
     // seer-probe: everything from arrival onward samples as "sink"
     // unless an interior stage (parse/route/check/verdict) re-tags.
     obs::StageScope profScope(obs::ProfStage::Sink);
@@ -244,10 +252,24 @@ WorkflowMonitor::feed(const logging::LogRecord &record)
                                  flightScratch);
     }
 
-    if (config.ingest.reorderWindowSeconds > 0.0)
-        bufferAndRelease(record, reports);
-    else
+    if (config.ingest.reorderWindowSeconds > 0.0) {
+        // The buffer takes a record it owns, in the storage of one it
+        // released earlier: feedLine's record is swapped in (its
+        // scratch gets the spare storage back), a caller's is copied.
+        // Record strings thus circulate instead of being reallocated.
+        logging::LogRecord entry;
+        if (!spareRecords.empty()) {
+            entry = std::move(spareRecords.back());
+            spareRecords.pop_back();
+        }
+        if (owned != nullptr)
+            std::swap(entry, *owned);
+        else
+            entry = record;
+        bufferAndRelease(std::move(entry), reports);
+    } else {
         deliver(record, reports);
+    }
     captureBundles(reports);
 
     if (timed) {
@@ -264,7 +286,7 @@ WorkflowMonitor::feed(const logging::LogRecord &record)
 }
 
 void
-WorkflowMonitor::bufferAndRelease(const logging::LogRecord &record,
+WorkflowMonitor::bufferAndRelease(logging::LogRecord &&record,
                                   std::vector<MonitorReport> &reports)
 {
     highestSeen = std::max(highestSeen, record.timestamp);
@@ -272,7 +294,7 @@ WorkflowMonitor::bufferAndRelease(const logging::LogRecord &record,
     // Keep the buffer sorted by (timestamp, arrival seq). Streams are
     // mostly ordered, so scanning from the back finds the insertion
     // point in O(1) amortized.
-    BufferedRecord entry{record, nextSeq++};
+    BufferedRecord entry{std::move(record), nextSeq++};
     auto pos = reorderBuffer.end();
     while (pos != reorderBuffer.begin()) {
         auto prev = std::prev(pos);
@@ -294,6 +316,7 @@ WorkflowMonitor::bufferAndRelease(const logging::LogRecord &record,
             std::move(reorderBuffer.front().record);
         reorderBuffer.pop_front();
         deliver(ripe, reports);
+        spareRecords.push_back(std::move(ripe));
     }
     // Overflow: force the oldest out rather than buffering unboundedly
     // (a stuck node clock must not wedge the monitor).
@@ -303,6 +326,7 @@ WorkflowMonitor::bufferAndRelease(const logging::LogRecord &record,
         reorderBuffer.pop_front();
         ++ingest.forcedReleases;
         deliver(forced, reports);
+        spareRecords.push_back(std::move(forced));
     }
 }
 
@@ -357,13 +381,14 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
         stageT0 = stageT1;
     }
 
-    CheckMessage message;
+    CheckMessage &message = checkMessage;
     {
         obs::StageScope profScope(obs::ProfStage::Parse);
-        logging::ParsedBody parsed = extractor.parse(record.body);
+        extractor.parseInto(record.body, parsedBody);
         message.tpl =
-            catalogPtr->find(record.service, parsed.templateText);
-        for (logging::Variable &var : parsed.variables) {
+            catalogPtr->find(record.service, parsedBody.templateText);
+        message.identifiers.clear();
+        for (const logging::Variable &var : parsedBody.variables) {
             if (var.kind == logging::VariableKind::Number &&
                 !config.numbersAsIdentifiers) {
                 continue;
@@ -398,31 +423,59 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
     bool suppressed = false;
     if (config.ingest.dedupWindowSeconds > 0.0) {
         obs::StageScope profScope(obs::ProfStage::Route);
-        std::string key = record.node;
-        key += '\x1f';
-        key += record.service;
-        key += '\x1f';
-        key += std::to_string(message.tpl);
+        // Built in place; the stamp renders as std::to_string did
+        // ("%f": fixed, six decimals), so the key bytes are unchanged.
+        // The longest such rendering of a double is 317 characters.
+        char digits[320];
+        auto appendNumber = [this, &digits](auto value) {
+            auto result =
+                std::to_chars(digits, digits + sizeof(digits), value);
+            dedupKey.append(digits, result.ptr);
+        };
+        dedupKey.assign(record.node);
+        dedupKey += '\x1f';
+        dedupKey += record.service;
+        dedupKey += '\x1f';
+        appendNumber(message.tpl);
         for (logging::IdToken id : message.identifiers) {
-            key += '\x1f';
-            key += std::to_string(id);
+            dedupKey += '\x1f';
+            appendNumber(id);
         }
-        key += '\x1f';
-        key += std::to_string(record.timestamp);
+        dedupKey += '\x1f';
+        auto stamp = std::to_chars(digits, digits + sizeof(digits),
+                                   record.timestamp,
+                                   std::chars_format::fixed, 6);
+        dedupKey.append(digits, stamp.ptr);
 
+        // Expired keys hand their storage to the next ones: map nodes
+        // and queue strings are refilled, not reallocated.
         double window = config.ingest.dedupWindowSeconds;
         while (!recentOrder.empty() &&
                recentOrder.front().first < now - window) {
-            auto it = recentKeys.find(recentOrder.front().second);
-            if (it != recentKeys.end() &&
-                it->second <= recentOrder.front().first) {
-                recentKeys.erase(it);
-            }
+            auto &[stamp, old_key] = recentOrder.front();
+            auto it = recentKeys.find(old_key);
+            if (it != recentKeys.end() && it->second <= stamp)
+                spareKeyNodes.push_back(recentKeys.extract(it));
+            spareKeys.push_back(std::move(old_key));
             recentOrder.pop_front();
         }
-        auto [it, inserted] = recentKeys.emplace(key, now);
+        auto it = recentKeys.find(dedupKey);
+        const bool inserted = it == recentKeys.end();
+        if (inserted && spareKeyNodes.empty()) {
+            it = recentKeys.emplace(dedupKey, now).first;
+        } else if (inserted) {
+            spareKeyNodes.back().key() = dedupKey;
+            it = recentKeys.insert(std::move(spareKeyNodes.back())).position;
+            spareKeyNodes.pop_back();
+        }
         it->second = now;
-        recentOrder.emplace_back(now, std::move(key));
+        if (spareKeys.empty()) {
+            recentOrder.emplace_back(now, dedupKey);
+        } else {
+            spareKeys.back().assign(dedupKey);
+            recentOrder.emplace_back(now, std::move(spareKeys.back()));
+            spareKeys.pop_back();
+        }
         if (!inserted) {
             ++ingest.duplicatesSuppressed;
             suppressed = true;
@@ -527,7 +580,7 @@ WorkflowMonitor::feedLine(const std::string &line)
         sinkStart = std::chrono::steady_clock::now();
 
     logging::DecodeFailure why = logging::DecodeFailure::None;
-    auto record = logging::decodeLogLine(line, &why);
+    const bool decoded = logging::decodeLogLineInto(line, lineRecord, &why);
 
     if (staged) {
         stageSink->record(std::chrono::duration<double, std::micro>(
@@ -535,7 +588,7 @@ WorkflowMonitor::feedLine(const std::string &line)
                               sinkStart)
                               .count());
     }
-    if (!record) {
+    if (!decoded) {
         switch (why) {
           case logging::DecodeFailure::BadTimestamp:
             ++ingest.malformedBadTimestamp;
@@ -560,7 +613,7 @@ WorkflowMonitor::feedLine(const std::string &line)
             obsPtr->flight()->record("<malformed>", lastTimestamp, line);
         return {};
     }
-    return feed(*record);
+    return admit(lineRecord, &lineRecord);
 }
 
 std::vector<MonitorReport>
@@ -824,50 +877,64 @@ WorkflowMonitor::captureBundles(const std::vector<MonitorReport> &reports)
 }
 
 std::string
-WorkflowMonitor::forensicBundleJson(const MonitorReport &report) const
+WorkflowMonitor::forensicBundleJson(const MonitorReport &report)
 {
     const logging::IdentifierInterner &interner =
         logging::IdentifierInterner::process();
 
-    std::string out = "{\"kind\":\"BUNDLE\",";
-    out += "\"reason\":\"";
+    // Written straight into one string, sized by the previous bundle:
+    // a bundle carries every context line, so per-field temporaries
+    // would cost about as many allocations as the lines it quotes.
+    std::string out;
+    out.reserve(bundleBytesHint);
+    out += "{\"kind\":\"BUNDLE\",\"reason\":\"";
     out += checkEventKindName(report.event.kind);
-    out += "\",";
-    out += "\"task\":\"" + jsonEscape(report.event.taskName) + "\",";
-    out += "\"time\":" + common::formatDouble(report.event.time, 3) +
-           ",";
-    out += "\"group\":" + std::to_string(report.event.group) + ",";
+    out += "\",\"task\":\"";
+    appendJsonEscaped(out, report.event.taskName);
+    out += "\",\"time\":";
+    common::appendDouble(out, report.event.time, 3);
+    out += ",\"group\":";
+    char digits[24];
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof(digits),
+                             report.event.group)
+                   .ptr);
 
     // The group's accumulated identifier set, resolved to text — the
     // handles an operator greps the wider infrastructure logs for.
-    out += "\"identifiers\":[";
+    out += ",\"identifiers\":[";
     for (std::size_t i = 0; i < report.event.identifiers.size(); ++i) {
         if (i > 0)
-            out += ",";
-        out += "\"" +
-               jsonEscape(interner.text(report.event.identifiers[i])) +
-               "\"";
+            out += ',';
+        out += '"';
+        appendJsonEscaped(out,
+                          interner.text(report.event.identifiers[i]));
+        out += '"';
     }
-    out += "],";
 
     // The full report record: group state (states/expected), ambiguity
     // alternatives (candidates), per-edge timings (latency).
-    out += "\"report\":" + reportToJson(report, *catalogPtr) + ",";
+    out += "],\"report\":";
+    appendReportJson(out, report, *catalogPtr);
 
     // Frozen flight-recorder rings: the raw lines surrounding the
     // failure, merged across nodes in time order.
-    out += "\"context\":[";
-    bool first = true;
-    for (const obs::ContextLine &line :
-         obsPtr->flight()->context()) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "{\"node\":\"" + jsonEscape(line.node) + "\",";
-        out += "\"time\":" + common::formatDouble(line.time, 3) + ",";
-        out += "\"line\":\"" + jsonEscape(line.line) + "\"}";
+    out += ",\"context\":[";
+    obsPtr->flight()->contextInto(contextLines);
+    for (std::size_t i = 0; i < contextLines.size(); ++i) {
+        const obs::ContextLineView &line = contextLines[i];
+        if (i > 0)
+            out += ',';
+        out += "{\"node\":\"";
+        appendJsonEscaped(out, line.node);
+        out += "\",\"time\":";
+        common::appendDouble(out, line.time, 3);
+        out += ",\"line\":\"";
+        appendJsonEscaped(out, line.line);
+        out += "\"}";
     }
     out += "]}";
+    bundleBytesHint = std::max(bundleBytesHint, out.size());
     return out;
 }
 

@@ -557,12 +557,40 @@ class WorkflowMonitor
     /** Scratch for flight-recorder line encoding (reused per record). */
     std::string flightScratch;
 
+    // Hot-path scratch (DESIGN.md §18): reused by every call, so the
+    // steady state allocates only for state that outlives the call.
+
+    /** feedLine's decode target. */
+    logging::LogRecord lineRecord;
+    /** Records the reorder buffer released, kept as storage for the
+     *  records it takes in next; each one taken in uses one up, so the
+     *  pool never outgrows the buffer's peak. */
+    std::vector<logging::LogRecord> spareRecords;
+    /** deliver's template/variable split of the record body. */
+    logging::ParsedBody parsedBody;
+    /** deliver's message to the checker. */
+    CheckMessage checkMessage;
+    /** deliver's dedup key, built in place, and the storage of
+     *  expired keys (queue strings, map nodes) kept for new ones. */
+    std::string dedupKey;
+    std::vector<std::string> spareKeys;
+    std::vector<std::unordered_map<std::string, common::SimTime>::node_type>
+        spareKeyNodes;
+
+    /**
+     * feed()'s body. `owned`, when non-null, is `record` itself handed
+     * over by the caller: the reorder buffer then swaps it in instead
+     * of copying it.
+     */
+    std::vector<MonitorReport> admit(const logging::LogRecord &record,
+                                     logging::LogRecord *owned);
+
     /** Guarded delivery: clock, dedup, checker, shedding. */
     void deliver(const logging::LogRecord &record,
                  std::vector<MonitorReport> &reports);
 
     /** Insert into the reorder buffer and release ripe records. */
-    void bufferAndRelease(const logging::LogRecord &record,
+    void bufferAndRelease(logging::LogRecord &&record,
                           std::vector<MonitorReport> &reports);
 
     /**
@@ -573,7 +601,12 @@ class WorkflowMonitor
     void captureBundles(const std::vector<MonitorReport> &reports);
 
     /** Render one report's forensic bundle as single-line JSON. */
-    std::string forensicBundleJson(const MonitorReport &report) const;
+    std::string forensicBundleJson(const MonitorReport &report);
+
+    /** forensicBundleJson scratch: the frozen context as views, and
+     *  the largest bundle so far (the next one's reservation). */
+    std::vector<obs::ContextLineView> contextLines;
+    std::size_t bundleBytesHint = 0;
 
     /** Feed the newest snapshot to the pulse engine and publish. */
     void pulseStep();

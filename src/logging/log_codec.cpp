@@ -9,8 +9,8 @@ namespace cloudseer::logging {
 namespace {
 
 /** Advance past one whitespace-delimited token; returns the token. */
-std::string
-takeToken(const std::string &line, std::size_t &pos)
+std::string_view
+takeToken(std::string_view line, std::size_t &pos)
 {
     while (pos < line.size() &&
            std::isspace(static_cast<unsigned char>(line[pos]))) {
@@ -61,33 +61,39 @@ decodeFailureName(DecodeFailure cause)
     return "UNKNOWN";
 }
 
-std::optional<LogRecord>
-decodeLogLine(const std::string &line, DecodeFailure *why)
+bool
+decodeLogLineInto(std::string_view line, LogRecord &record,
+                  DecodeFailure *why)
 {
-    auto fail = [why](DecodeFailure cause) -> std::optional<LogRecord> {
+    auto fail = [why](DecodeFailure cause) {
         if (why != nullptr)
             *why = cause;
-        return std::nullopt;
+        return false;
     };
     if (why != nullptr)
         *why = DecodeFailure::None;
 
     std::size_t pos = 0;
-    std::string date = takeToken(line, pos);
-    std::string time = takeToken(line, pos);
+    std::string_view date = takeToken(line, pos);
+    std::size_t date_start = pos - date.size();
+    std::string_view time = takeToken(line, pos);
     if (date.empty() || time.empty())
         return fail(DecodeFailure::BadTimestamp);
 
-    LogRecord record;
-    if (!common::parseTimestamp(date + " " + time, record.timestamp))
+    // The stamp is parsed in place, gap included: the date token holds
+    // no whitespace, and sscanf skips a whitespace run exactly as it
+    // skips the single space the format names.
+    if (!common::parseTimestamp(line.substr(date_start, pos - date_start),
+                                record.timestamp)) {
         return fail(DecodeFailure::BadTimestamp);
+    }
 
-    record.node = takeToken(line, pos);
-    record.service = takeToken(line, pos);
-    std::string level_text = takeToken(line, pos);
-    if (record.node.empty())
+    std::string_view node = takeToken(line, pos);
+    std::string_view service = takeToken(line, pos);
+    std::string_view level_text = takeToken(line, pos);
+    if (node.empty())
         return fail(DecodeFailure::BadHeader);
-    if (record.service.empty() || level_text.empty()) {
+    if (service.empty() || level_text.empty()) {
         // A well-formed timestamp with the tail cut off mid-header is
         // a truncation artefact, not a malformed header.
         return fail(DecodeFailure::TruncatedPayload);
@@ -99,9 +105,23 @@ decodeLogLine(const std::string &line, DecodeFailure *why)
            std::isspace(static_cast<unsigned char>(line[pos]))) {
         ++pos;
     }
-    record.body = line.substr(pos);
-    if (record.body.empty())
+    if (pos == line.size())
         return fail(DecodeFailure::TruncatedPayload);
+    record.id = 0;
+    record.node.assign(node);
+    record.service.assign(service);
+    record.body.assign(line.substr(pos));
+    record.truthExecution = 0;
+    record.truthTask.clear();
+    return true;
+}
+
+std::optional<LogRecord>
+decodeLogLine(const std::string &line, DecodeFailure *why)
+{
+    LogRecord record;
+    if (!decodeLogLineInto(line, record, why))
+        return std::nullopt;
     return record;
 }
 

@@ -16,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "logging/log_record.hpp"
 
@@ -45,7 +46,23 @@ enum class DecodeFailure
 const char *decodeFailureName(DecodeFailure cause);
 
 /**
- * Parse one log line.
+ * Parse one log line into a caller-owned record, reusing the capacity
+ * of its strings. This is the one decoder; decodeLogLine wraps it.
+ * On success every field is overwritten, ground truth included (id 0,
+ * truth fields cleared), so a reused record equals a fresh decode. On
+ * failure the record's contents are unspecified.
+ *
+ * @param line   The text line.
+ * @param record Receives the parsed fields.
+ * @param why    When non-null, receives the failure cause (None on
+ *               success).
+ * @retval true if the line was well formed.
+ */
+bool decodeLogLineInto(std::string_view line, LogRecord &record,
+                       DecodeFailure *why = nullptr);
+
+/**
+ * Parse one log line into a fresh record.
  *
  * @param line The text line.
  * @param why  When non-null, receives the failure cause (None on

@@ -16,7 +16,7 @@ logLevelName(LogLevel level)
 }
 
 bool
-parseLogLevel(const std::string &text, LogLevel &out)
+parseLogLevel(std::string_view text, LogLevel &out)
 {
     if (text == "DEBUG") {
         out = LogLevel::Debug;

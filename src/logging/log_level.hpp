@@ -7,6 +7,7 @@
 #define CLOUDSEER_LOGGING_LOG_LEVEL_HPP
 
 #include <string>
+#include <string_view>
 
 namespace cloudseer::logging {
 
@@ -30,7 +31,7 @@ const char *logLevelName(LogLevel level);
  * @param out   Receives the parsed level on success.
  * @retval true if the token named a level.
  */
-bool parseLogLevel(const std::string &text, LogLevel &out);
+bool parseLogLevel(std::string_view text, LogLevel &out);
 
 /** True for Error and Critical — the paper's error-message criterion. */
 bool isErrorLevel(LogLevel level);

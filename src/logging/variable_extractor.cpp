@@ -30,7 +30,7 @@ isAlnum(char c)
  * @return Length of the match (36) or 0.
  */
 std::size_t
-matchUuid(const std::string &s, std::size_t pos)
+matchUuid(std::string_view s, std::size_t pos)
 {
     static const int groups[5] = {8, 4, 4, 4, 12};
     std::size_t p = pos;
@@ -57,7 +57,7 @@ matchUuid(const std::string &s, std::size_t pos)
  * @return Length of the match or 0.
  */
 std::size_t
-matchIp(const std::string &s, std::size_t pos)
+matchIp(std::string_view s, std::size_t pos)
 {
     std::size_t p = pos;
     for (int octet = 0; octet < 4; ++octet) {
@@ -88,7 +88,7 @@ matchIp(const std::string &s, std::size_t pos)
  * @return Length of the match or 0.
  */
 std::size_t
-matchNumber(const std::string &s, std::size_t pos)
+matchNumber(std::string_view s, std::size_t pos)
 {
     std::size_t p = pos;
     while (p < s.size() && isDigit(s[p]))
@@ -115,11 +115,17 @@ VariableExtractor::placeholder(VariableKind kind)
     return "<var>";
 }
 
-ParsedBody
-VariableExtractor::parse(const std::string &body) const
+void
+VariableExtractor::parseInto(std::string_view body, ParsedBody &out) const
 {
-    ParsedBody out;
+    out.templateText.clear();
     out.templateText.reserve(body.size());
+    // Park every text buffer, then hand them back out in order: the
+    // strings keep their capacity whatever the variable count does.
+    for (Variable &var : out.variables)
+        out.spareTexts.push_back(std::move(var.text));
+    out.variables.clear();
+
     char prev = '\0';
     std::size_t pos = 0;
     while (pos < body.size()) {
@@ -141,7 +147,13 @@ VariableExtractor::parse(const std::string &body) const
         }
         if (len > 0) {
             out.templateText += placeholder(kind);
-            out.variables.push_back({kind, body.substr(pos, len)});
+            Variable &var = out.variables.emplace_back();
+            var.kind = kind;
+            if (!out.spareTexts.empty()) {
+                var.text = std::move(out.spareTexts.back());
+                out.spareTexts.pop_back();
+            }
+            var.text.assign(body.substr(pos, len));
             pos += len;
             prev = '\0';
         } else {
@@ -150,6 +162,13 @@ VariableExtractor::parse(const std::string &body) const
             ++pos;
         }
     }
+}
+
+ParsedBody
+VariableExtractor::parse(const std::string &body) const
+{
+    ParsedBody out;
+    parseInto(body, out);
     return out;
 }
 

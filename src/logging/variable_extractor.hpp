@@ -12,6 +12,7 @@
 #define CLOUDSEER_LOGGING_VARIABLE_EXTRACTOR_HPP
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cloudseer::logging {
@@ -38,6 +39,12 @@ struct ParsedBody
 {
     std::string templateText;        ///< body with placeholders substituted
     std::vector<Variable> variables; ///< in order of appearance
+
+    /**
+     * Text buffers of variables a shorter parse dropped, kept so the
+     * next parseInto reuses their capacity. Not part of the result.
+     */
+    std::vector<std::string> spareTexts;
 };
 
 /**
@@ -50,6 +57,13 @@ class VariableExtractor
   public:
     /** Placeholder inserted for each kind. */
     static const char *placeholder(VariableKind kind);
+
+    /**
+     * Parse one message body into caller-owned scratch, replacing its
+     * contents and reusing the capacity of its strings and vectors.
+     * This is the one scanner; parse() wraps it.
+     */
+    void parseInto(std::string_view body, ParsedBody &out) const;
 
     /** Parse one message body into template + variables. */
     ParsedBody parse(const std::string &body) const;

@@ -39,26 +39,37 @@ FlightRecorder::record(std::string_view node, double time,
     ++recorded;
 }
 
-std::vector<ContextLine>
-FlightRecorder::context() const
+void
+FlightRecorder::contextInto(std::vector<ContextLineView> &out) const
 {
-    std::vector<ContextLine> out;
+    out.clear();
     for (const auto &[node, ring] : rings) {
         // Oldest-first within the ring: the wrap point is `next`.
         for (std::size_t i = 0; i < ring.slots.size(); ++i) {
             std::size_t at = ring.slots.size() < cfg.perNodeCapacity
                                  ? i
                                  : (ring.next + i) % ring.slots.size();
-            out.push_back(
-                {node, ring.slots[at].time, ring.slots[at].line});
+            out.push_back({node, ring.slots[at].time, ring.slots[at].line});
         }
     }
     std::stable_sort(out.begin(), out.end(),
-                     [](const ContextLine &a, const ContextLine &b) {
+                     [](const ContextLineView &a, const ContextLineView &b) {
                          if (a.time != b.time)
                              return a.time < b.time;
                          return a.node < b.node;
                      });
+}
+
+std::vector<ContextLine>
+FlightRecorder::context() const
+{
+    std::vector<ContextLineView> views;
+    contextInto(views);
+    std::vector<ContextLine> out;
+    out.reserve(views.size());
+    for (const ContextLineView &view : views)
+        out.push_back({std::string(view.node), view.time,
+                       std::string(view.line)});
     return out;
 }
 

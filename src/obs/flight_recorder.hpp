@@ -54,6 +54,15 @@ struct ContextLine
     std::string line;
 };
 
+/** A ContextLine as views into the recorder's rings; valid until the
+ *  next record(). */
+struct ContextLineView
+{
+    std::string_view node;
+    double time = 0.0;
+    std::string_view line;
+};
+
 /** Bounded per-node ring buffers plus the bundle store. */
 class FlightRecorder
 {
@@ -77,6 +86,13 @@ class FlightRecorder
      * capture order) — the "context" section of a forensic bundle.
      */
     std::vector<ContextLine> context() const;
+
+    /**
+     * context() as views, into caller-owned scratch (replacing its
+     * contents): a bundle renders the lines straight from the rings
+     * instead of copying each one. context() wraps this.
+     */
+    void contextInto(std::vector<ContextLineView> &out) const;
 
     /** Store one rendered bundle (JSON object, single line). */
     void addBundle(std::string bundle_json);

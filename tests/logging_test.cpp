@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.hpp"
 #include "logging/log_codec.hpp"
 #include "logging/template_catalog.hpp"
 #include "logging/variable_extractor.hpp"
+#include "sim/simulation.hpp"
+#include "workload/workload_generator.hpp"
 
 using namespace cloudseer::logging;
 
@@ -245,4 +250,140 @@ TEST(LogCodec, BodyMayContainExtraSpaces)
         "2016-01-12 00:00:01.000 controller nova-api INFO a  b   c");
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->body, "a  b   c");
+}
+
+// --- reused-scratch cores vs the owning wrappers --------------------------
+
+namespace {
+
+/**
+ * Wire lines of a seeded simulator run plus hand-written edge cases,
+ * followed by seeded truncations, byte flips and splices of them. The
+ * mutants interleave long and short lines, so a scratch that kept
+ * bytes of a longer previous line would show.
+ */
+std::vector<std::string>
+wireCorpus()
+{
+    std::vector<std::string> lines = {
+        "2016-01-12 00:00:01.000 controller nova-api INFO a  b   c",
+        "2016-01-12\t00:00:01.000   compute-1 nova-compute ERROR boom",
+        "2016-01-12 00:00:00.000 node svc INFO",
+        "2016-01-12 00:00:00.000 node svc NOPE body",
+        "2016-01-12 00:00:00.000 node",
+        "2017-01-12 00:00:00.000 node svc INFO body",
+        "2016-01-12 00:00:00.000",
+        "garbage",
+        "",
+        "   ",
+    };
+    cloudseer::sim::Simulation simulation(cloudseer::sim::SimConfig{}, 11);
+    cloudseer::workload::WorkloadConfig workload;
+    workload.users = 2;
+    workload.tasksPerUser = 4;
+    workload.seed = 11;
+    cloudseer::workload::WorkloadGenerator(workload).submitAll(simulation);
+    simulation.run();
+    for (const LogRecord &record : simulation.records())
+        lines.push_back(encodeLogLine(record));
+
+    cloudseer::common::Rng rng(2016);
+    const std::size_t golden = lines.size();
+    for (int round = 0; round < 4000; ++round) {
+        std::string line =
+            lines[static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<int>(golden) - 1))];
+        switch (rng.uniformInt(0, 2)) {
+          case 0: // truncate
+            line.resize(static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(line.size()))));
+            break;
+          case 1: // flip bytes
+            for (int flips = rng.uniformInt(1, 3);
+                 flips > 0 && !line.empty(); --flips) {
+                std::size_t at = static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<int>(line.size()) - 1));
+                line[at] = static_cast<char>(rng.uniformInt(0, 255));
+            }
+            break;
+          default: { // splice the head of one onto the tail of another
+            const std::string &other =
+                lines[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<int>(golden) - 1))];
+            std::size_t cut = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(line.size())));
+            std::size_t from = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(other.size())));
+            line = line.substr(0, cut) + other.substr(from);
+            break;
+          }
+        }
+        lines.push_back(std::move(line));
+    }
+    return lines;
+}
+
+void
+expectSameRecord(const LogRecord &reused, const LogRecord &fresh)
+{
+    EXPECT_EQ(reused.id, fresh.id);
+    EXPECT_EQ(std::memcmp(&reused.timestamp, &fresh.timestamp,
+                          sizeof(reused.timestamp)),
+              0);
+    EXPECT_EQ(reused.node, fresh.node);
+    EXPECT_EQ(reused.service, fresh.service);
+    EXPECT_EQ(reused.level, fresh.level);
+    EXPECT_EQ(reused.body, fresh.body);
+    EXPECT_EQ(reused.truthExecution, fresh.truthExecution);
+    EXPECT_EQ(reused.truthTask, fresh.truthTask);
+}
+
+} // namespace
+
+TEST(ScratchCores, DecodeIntoReusedRecordMatchesFreshDecode)
+{
+    const std::vector<std::string> corpus = wireCorpus();
+    LogRecord reused;
+    // Ground truth a reused record may carry in from elsewhere must
+    // not survive a decode either.
+    reused.id = 99;
+    reused.truthExecution = 7;
+    reused.truthTask = "boot";
+    std::size_t decoded = 0;
+    for (const std::string &line : corpus) {
+        DecodeFailure fresh_why = DecodeFailure::None;
+        DecodeFailure reused_why = DecodeFailure::BadHeader;
+        std::optional<LogRecord> fresh = decodeLogLine(line, &fresh_why);
+        bool ok = decodeLogLineInto(line, reused, &reused_why);
+        ASSERT_EQ(ok, fresh.has_value()) << line;
+        EXPECT_EQ(reused_why, fresh_why) << line;
+        if (ok) {
+            ++decoded;
+            expectSameRecord(reused, *fresh);
+        }
+    }
+    // The corpus must exercise both outcomes.
+    EXPECT_GT(decoded, corpus.size() / 4);
+    EXPECT_LT(decoded, corpus.size());
+}
+
+TEST(ScratchCores, ParseIntoReusedScratchMatchesParse)
+{
+    const std::vector<std::string> corpus = wireCorpus();
+    ParsedBody reused;
+    std::size_t with_variables = 0;
+    for (const std::string &line : corpus) {
+        // Raw lines and decoded bodies: the scanner takes any bytes.
+        std::vector<std::string> inputs = {line};
+        if (std::optional<LogRecord> record = decodeLogLine(line))
+            inputs.push_back(record->body);
+        for (const std::string &body : inputs) {
+            ParsedBody fresh = kExtractor.parse(body);
+            kExtractor.parseInto(body, reused);
+            ASSERT_EQ(reused.templateText, fresh.templateText) << body;
+            ASSERT_EQ(reused.variables, fresh.variables) << body;
+            with_variables += fresh.variables.empty() ? 0 : 1;
+        }
+    }
+    EXPECT_GT(with_variables, corpus.size() / 4);
 }
