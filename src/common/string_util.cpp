@@ -1,7 +1,8 @@
 #include "common/string_util.hpp"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <limits>
 
 namespace cloudseer::common {
 
@@ -85,8 +86,60 @@ void
 appendDouble(std::string &out, double value, int precision)
 {
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-    out += buf;
+    auto [end, error] = std::to_chars(buf, buf + sizeof(buf), value,
+                                      std::chars_format::fixed, precision);
+    if (error == std::errc()) {
+        out.append(buf, end);
+        return;
+    }
+    // Only |value| beyond about 1e60 (or a long precision) needs more
+    // room: the integer part can run to max_exponent10 + 1 digits.
+    std::string wide(std::numeric_limits<double>::max_exponent10 + 4 +
+                         static_cast<std::size_t>(precision),
+                     '\0');
+    end = std::to_chars(wide.data(), wide.data() + wide.size(), value,
+                        std::chars_format::fixed, precision)
+              .ptr;
+    out.append(wide.data(), end);
+}
+
+void
+appendJsonEscaped(std::string &out, std::string_view raw)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    // Plain bytes are copied a run at a time; only '"', '\\' and
+    // control bytes break a run.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        const auto c = static_cast<unsigned char>(raw[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(raw.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default: {
+            const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                    kHex[c & 0xf]};
+            out.append(escaped, sizeof(escaped));
+          }
+        }
+    }
+    out.append(raw.data() + run, raw.size() - run);
 }
 
 std::string

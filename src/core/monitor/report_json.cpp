@@ -1,45 +1,11 @@
 #include "core/monitor/report_json.hpp"
 
 #include <charconv>
-#include <cstdio>
 
 #include "common/string_util.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 
 namespace cloudseer::core {
-
-void
-appendJsonEscaped(std::string &out, std::string_view raw)
-{
-    for (char c : raw) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-}
 
 std::string
 jsonEscape(const std::string &raw)

@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/string_util.hpp"
 #include "core/monitor/report.hpp"
 
 namespace cloudseer::core {
@@ -26,8 +27,9 @@ struct IngestStats;
 /** Escape a string per JSON rules. */
 std::string jsonEscape(const std::string &raw);
 
-/** Append jsonEscape(raw) to `out` without a temporary. */
-void appendJsonEscaped(std::string &out, std::string_view raw);
+/** Append jsonEscape(raw) to `out` without a temporary (shared with
+ *  the flight recorder, which renders bundle context on read). */
+using common::appendJsonEscaped;
 
 /** Render one report as a single-line JSON object. */
 std::string reportToJson(const MonitorReport &report,

@@ -867,7 +867,7 @@ WorkflowMonitor::captureBundles(const std::vector<MonitorReport> &reports)
           case CheckEventKind::ErrorDetected:
           case CheckEventKind::Timeout:
           case CheckEventKind::LatencyAnomaly:
-            obsPtr->flight()->addBundle(forensicBundleJson(report));
+            appendBundleHead(obsPtr->flight()->freezeBundle(), report);
             break;
           case CheckEventKind::Accepted:
           case CheckEventKind::Degraded:
@@ -876,17 +876,13 @@ WorkflowMonitor::captureBundles(const std::vector<MonitorReport> &reports)
     }
 }
 
-std::string
-WorkflowMonitor::forensicBundleJson(const MonitorReport &report)
+void
+WorkflowMonitor::appendBundleHead(std::string &out,
+                                  const MonitorReport &report) const
 {
     const logging::IdentifierInterner &interner =
         logging::IdentifierInterner::process();
 
-    // Written straight into one string, sized by the previous bundle:
-    // a bundle carries every context line, so per-field temporaries
-    // would cost about as many allocations as the lines it quotes.
-    std::string out;
-    out.reserve(bundleBytesHint);
     out += "{\"kind\":\"BUNDLE\",\"reason\":\"";
     out += checkEventKindName(report.event.kind);
     out += "\",\"task\":\"";
@@ -913,29 +909,10 @@ WorkflowMonitor::forensicBundleJson(const MonitorReport &report)
     }
 
     // The full report record: group state (states/expected), ambiguity
-    // alternatives (candidates), per-edge timings (latency).
+    // alternatives (candidates), per-edge timings (latency). The
+    // frozen rings follow as "context" when the bundle is read.
     out += "],\"report\":";
     appendReportJson(out, report, *catalogPtr);
-
-    // Frozen flight-recorder rings: the raw lines surrounding the
-    // failure, merged across nodes in time order.
-    out += ",\"context\":[";
-    obsPtr->flight()->contextInto(contextLines);
-    for (std::size_t i = 0; i < contextLines.size(); ++i) {
-        const obs::ContextLineView &line = contextLines[i];
-        if (i > 0)
-            out += ',';
-        out += "{\"node\":\"";
-        appendJsonEscaped(out, line.node);
-        out += "\",\"time\":";
-        common::appendDouble(out, line.time, 3);
-        out += ",\"line\":\"";
-        appendJsonEscaped(out, line.line);
-        out += "\"}";
-    }
-    out += "]}";
-    bundleBytesHint = std::max(bundleBytesHint, out.size());
-    return out;
 }
 
 std::string

@@ -600,13 +600,15 @@ class WorkflowMonitor
      */
     void captureBundles(const std::vector<MonitorReport> &reports);
 
-    /** Render one report's forensic bundle as single-line JSON. */
-    std::string forensicBundleJson(const MonitorReport &report);
-
-    /** forensicBundleJson scratch: the frozen context as views, and
-     *  the largest bundle so far (the next one's reservation). */
-    std::vector<obs::ContextLineView> contextLines;
-    std::size_t bundleBytesHint = 0;
+    /**
+     * Append the head of one report's forensic bundle to `out`: every
+     * member before the context the recorder renders on read. The
+     * head needs the catalog and the interner, which the recorder does
+     * not know, so identifiers are resolved to text here, at freeze
+     * time.
+     */
+    void appendBundleHead(std::string &out,
+                          const MonitorReport &report) const;
 
     /** Feed the newest snapshot to the pulse engine and publish. */
     void pulseStep();

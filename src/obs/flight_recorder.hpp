@@ -9,7 +9,8 @@
  * recorder keeps a small per-node ring of recent raw lines in the
  * ingest path; when a report fires, the monitor freezes the rings plus
  * the group's state into a forensic bundle (a JSON object) that the
- * seer_postmortem CLI renders offline.
+ * seer_postmortem CLI renders offline. Freezing copies the raw lines;
+ * the bundle's JSON is rendered only when someone reads it.
  *
  * Null-sink contract (same as the rest of obs): the default config has
  * perNodeCapacity == 0, a monitor with that config constructs no
@@ -54,15 +55,6 @@ struct ContextLine
     std::string line;
 };
 
-/** A ContextLine as views into the recorder's rings; valid until the
- *  next record(). */
-struct ContextLineView
-{
-    std::string_view node;
-    double time = 0.0;
-    std::string_view line;
-};
-
 /** Bounded per-node ring buffers plus the bundle store. */
 class FlightRecorder
 {
@@ -88,17 +80,19 @@ class FlightRecorder
     std::vector<ContextLine> context() const;
 
     /**
-     * context() as views, into caller-owned scratch (replacing its
-     * contents): a bundle renders the lines straight from the rings
-     * instead of copying each one. context() wraps this.
+     * Freeze the rings into the next bundle slot and return the slot's
+     * head, cleared, for the caller to render the bundle's prefix into:
+     * the JSON object up to, not including, its "context" member and
+     * closing brace. The context lines are copied raw; their JSON is
+     * rendered on read. Past maxBundles the oldest slot is recycled
+     * (and counted as dropped) with its buffers' capacity, so freezing
+     * into a warm recorder allocates nothing.
      */
-    void contextInto(std::vector<ContextLineView> &out) const;
+    std::string &freezeBundle();
 
-    /** Store one rendered bundle (JSON object, single line). */
-    void addBundle(std::string bundle_json);
-
-    /** Retained bundles, oldest first. */
-    const std::vector<std::string> &bundles() const { return store; }
+    /** Retained bundles, oldest first, each rendered as one JSON
+     *  object. */
+    std::vector<std::string> bundles() const;
 
     /** Bundles dropped past maxBundles. */
     std::uint64_t droppedBundles() const { return droppedBundleCount; }
@@ -121,19 +115,75 @@ class FlightRecorder
     };
 
     /** Fixed-size ring: `slots` grows to capacity then wraps at
-     *  `next`; `seq` preserves capture order across the wrap. */
+     *  `next`. */
     struct NodeRing
     {
         std::vector<Slot> slots;
         std::size_t next = 0;
-        std::uint64_t seq = 0;
+        std::uint32_t node = 0; ///< index into `nodeNames`
     };
+
+    /** A frozen line: `length` bytes at `offset` of its snapshot's
+     *  text. */
+    struct FrozenLine
+    {
+        double time = 0.0;
+        std::uint32_t node = 0; ///< index into `nodeNames`
+        std::uint32_t length = 0;
+        std::size_t offset = 0;
+    };
+
+    /** Every ring's lines, copied oldest-first ring by ring in node
+     *  order (the order the merge's ties fall back on). */
+    struct Snapshot
+    {
+        std::vector<char> text; ///< exact-size reserve, unlike string
+        std::vector<FrozenLine> lines;
+    };
+
+    /** One frozen bundle: the caller's rendered head plus the raw
+     *  context it quotes. */
+    struct Bundle
+    {
+        std::string head;
+        Snapshot context;
+    };
+
+    /** Copy the rings into `out`, reusing its capacity. */
+    void snapshotInto(Snapshot &out) const;
+
+    /** `out` = indices into `snapshot.lines` in context() order. */
+    void mergeOrder(const Snapshot &snapshot,
+                    std::vector<std::uint32_t> &out) const;
+
+    /** Append one bundle's JSON object to `out`. */
+    void renderBundle(const Bundle &bundle, std::string &out) const;
+
+    /** Visit the retained bundles oldest first. */
+    template <typename Visit>
+    void forEachBundle(Visit &&visit) const
+    {
+        for (std::size_t i = 0; i < store.size(); ++i)
+            visit(store[(oldest + i) % store.size()]);
+    }
 
     FlightRecorderConfig cfg;
     // std::less<> lets record() probe with a string_view; the node
     // string is materialised only when a new ring is created.
     std::map<std::string, NodeRing, std::less<>> rings;
-    std::vector<std::string> store;
+    /** Ring keys in creation order: map keys never move or go away,
+     *  so a frozen line names its node by index. */
+    std::vector<const std::string *> nodeNames;
+    /** Bundle slots; once full, a ring whose oldest entry is at
+     *  `oldest`. */
+    std::vector<Bundle> store;
+    std::size_t oldest = 0;
+    /** Largest snapshot text and head so far: a slot's buffer that
+     *  has to grow grows to at least these. */
+    std::size_t snapshotBytesHint = 0;
+    std::size_t headBytesHint = 0;
+    /** freezeBundle()'s head when maxBundles is 0. */
+    std::string discardedHead;
     std::uint64_t recorded = 0;
     std::uint64_t droppedLineCount = 0;
     std::uint64_t droppedBundleCount = 0;

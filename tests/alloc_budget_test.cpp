@@ -8,7 +8,9 @@
  * identifier sets, newly interned identifiers, and the reports. This
  * binary replaces the global operator new with a counting one and holds
  * a seeded simulator stream (Table 3 group 6 traffic: four users behind
- * one UID) to a per-line budget.
+ * one UID) to a per-line budget. A second test arms the flight recorder
+ * and holds the calls that freeze a forensic bundle to the allocations
+ * the same calls make without the recorder.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <new>
 
 #include "collect/stream_merger.hpp"
+#include "collect/stream_perturber.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "eval/modeling_harness.hpp"
 #include "logging/log_codec.hpp"
@@ -105,25 +108,30 @@ models()
     return system;
 }
 
-/** Wire lines of a seeded Table 3 group-6 run, in collector order. */
-std::vector<std::string>
-table6Lines(std::uint64_t seed)
+/** Records of a seeded Table 3 group-6 run, in collector order. */
+std::vector<logging::LogRecord>
+table6Records(std::uint64_t seed, int tasks_per_user = 24)
 {
     sim::Simulation simulation(sim::SimConfig{}, seed);
     workload::WorkloadConfig traffic;
     traffic.users = 4;
     traffic.singleUid = true;
-    traffic.tasksPerUser = 24;
+    traffic.tasksPerUser = tasks_per_user;
     traffic.seed = seed;
     workload::WorkloadGenerator(traffic).submitAll(simulation);
     simulation.run();
     collect::ShippingConfig shipping;
     shipping.seed = seed;
+    return collect::mergeStream(simulation.records(), shipping);
+}
+
+/** Wire lines of a seeded Table 3 group-6 run, in collector order. */
+std::vector<std::string>
+table6Lines(std::uint64_t seed)
+{
     std::vector<std::string> lines;
-    for (const logging::LogRecord &record :
-         collect::mergeStream(simulation.records(), shipping)) {
+    for (const logging::LogRecord &record : table6Records(seed))
         lines.push_back(logging::encodeLogLine(record));
-    }
     return lines;
 }
 
@@ -167,4 +175,89 @@ TEST(AllocBudget, WarmFeedLineStaysWithinBudget)
     EXPECT_LE(first, kBudgetPerLine);
     EXPECT_LE(second, kBudgetPerLine);
     EXPECT_LE(second, first);
+}
+
+TEST(AllocBudget, FreezingABundleAllocatesNothingOnceWarm)
+{
+    // Drops, truncation and corruption make a problem report every few
+    // dozen lines, so a store of eight bundles recycles its slots many
+    // times over.
+    collect::PerturbationConfig adversity;
+    adversity.dropProbability = 0.02;
+    adversity.truncateProbability = 0.02;
+    adversity.corruptProbability = 0.02;
+    adversity.seed = 3;
+    const std::vector<std::string> lines =
+        collect::StreamPerturber(adversity)
+            .apply(table6Records(2, 192))
+            .lines;
+
+    core::MonitorConfig bare;
+    bare.ingest = core::hardenedIngestDefaults();
+    {
+        // Intern every identifier first, so that neither monitor below
+        // pays for growing the process interner.
+        core::WorkflowMonitor primer(bare, models().catalog,
+                                     models().automataCopy());
+        for (const std::string &line : lines)
+            primer.feedLine(line);
+    }
+    core::MonitorConfig armed = bare;
+    armed.observability.flightRecorder.perNodeCapacity = 32;
+    armed.observability.flightRecorder.maxBundles = 8;
+    core::WorkflowMonitor plain(bare, models().catalog,
+                                models().automataCopy());
+    core::WorkflowMonitor flighted(armed, models().catalog,
+                                   models().automataCopy());
+    const obs::FlightRecorder &flight = *flighted.flightRecorder();
+
+    // Warm up over three quarters of the stream: by then every node
+    // has a ring and every slot has been recycled more than once.
+    std::size_t at = 0;
+    for (; at < lines.size() * 3 / 4; ++at) {
+        plain.feedLine(lines[at]);
+        flighted.feedLine(lines[at]);
+    }
+    ASSERT_GE(flight.droppedBundles(), 16u);
+
+    // Each line through both monitors: what the recorder adds is the
+    // difference, split by whether the call froze a bundle.
+    std::uint64_t freezingCalls = 0, freezingExtra = 0;
+    std::uint64_t otherCalls = 0, otherExtra = 0;
+    for (; at < lines.size(); ++at) {
+        allocations = 0;
+        counting = true;
+        plain.feedLine(lines[at]);
+        counting = false;
+        const std::uint64_t without = allocations;
+
+        const std::uint64_t frozenBefore = flight.droppedBundles();
+        allocations = 0;
+        counting = true;
+        flighted.feedLine(lines[at]);
+        counting = false;
+        const std::uint64_t with = allocations;
+        ASSERT_GE(with, without) << "line " << at;
+
+        if (flight.droppedBundles() != frozenBefore) {
+            ++freezingCalls;
+            freezingExtra += with - without;
+        } else {
+            ++otherCalls;
+            otherExtra += with - without;
+        }
+    }
+    ASSERT_GT(freezingCalls, 50u);
+
+    std::printf("flight recorder extra allocations: %llu over %llu "
+                "freezing calls, %llu over %llu other calls\n",
+                static_cast<unsigned long long>(freezingExtra),
+                static_cast<unsigned long long>(freezingCalls),
+                static_cast<unsigned long long>(otherExtra),
+                static_cast<unsigned long long>(otherCalls));
+    // Measured: 0 over 69 freezing calls, 4 over 2,205 others (a ring
+    // slot taking a line longer than any it held). The freezing calls'
+    // rate may not exceed the others'; a single allocation per freeze
+    // would put it above 1.0.
+    EXPECT_LE(freezingExtra * otherCalls, otherExtra * freezingCalls);
 }

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "common/rng.hpp"
@@ -209,6 +214,125 @@ TEST(StringUtil, Formatting)
     EXPECT_EQ(formatDouble(3.14159, 2), "3.14");
     EXPECT_EQ(formatPercent(0.9208), "92.08%");
     EXPECT_EQ(formatPercent(1.0, 1), "100.0%");
+}
+
+namespace {
+
+/** appendJsonEscaped's contract spelled out one byte at a time, with
+ *  snprintf for the control-byte escape. */
+std::string
+referenceJsonEscape(const std::string &raw)
+{
+    std::string out;
+    for (char c : raw) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned char>(c));
+                out += buf;
+            } else {
+                out.push_back(c);
+            }
+        }
+    }
+    return out;
+}
+
+/** printf "%.*f" with room for every digit of any double. */
+std::string
+referenceDouble(double value, int precision)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+    return buf;
+}
+
+} // namespace
+
+TEST(JsonFormatting, EscapeMatchesReferenceOnRandomBytes)
+{
+    std::mt19937_64 rng(20161);
+    std::string raw;
+    for (int round = 0; round < 20000; ++round) {
+        raw.clear();
+        const int length = static_cast<int>(rng() % 48);
+        for (int i = 0; i < length; ++i) {
+            // Mostly plain text, with quotes, backslashes, control
+            // bytes and high bytes mixed in at every position.
+            switch (rng() % 6) {
+              case 0:
+                raw.push_back('"');
+                break;
+              case 1:
+                raw.push_back('\\');
+                break;
+              case 2:
+                raw.push_back(static_cast<char>(rng() % 0x20));
+                break;
+              case 3:
+                raw.push_back(static_cast<char>(0x80 + rng() % 0x80));
+                break;
+              default:
+                raw.push_back(static_cast<char>(0x20 + rng() % 0x5f));
+            }
+        }
+        std::string out = "prefix";
+        appendJsonEscaped(out, raw);
+        ASSERT_EQ(out, "prefix" + referenceJsonEscape(raw))
+            << "round " << round;
+    }
+}
+
+TEST(JsonFormatting, AppendDoubleMatchesPrintf)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 3.14159, 0.0005, 1.0005, 2.0005, -0.0005,
+        // Exact binary ties at precisions 0-3 (round half to even).
+        0.5, 1.5, 2.5, -2.5, 0.25, 0.125, 0.375, 0.0625, 1.0625, -0.0625,
+        1e15, 1e22, 1e59, 1e60, 1e61, 1e300, -1e300,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(), 1e-300, -1e-300,
+        kInf, -kInf, kNaN, -kNaN};
+    std::mt19937_64 rng(777);
+    for (int i = 0; i < 100000; ++i) {
+        // Raw bit patterns cover every exponent, NaN payloads and
+        // signs; scaled draws cover the ordinary report range.
+        std::uint64_t bits = rng();
+        double raw;
+        std::memcpy(&raw, &bits, sizeof(raw));
+        values.push_back(raw);
+        values.push_back(static_cast<double>(bits % 100000000) / 1000.0 -
+                         50000.0);
+    }
+    for (double value : values) {
+        for (int precision : {0, 1, 3, 6}) {
+            std::string out = "x";
+            appendDouble(out, value, precision);
+            ASSERT_EQ(out, "x" + referenceDouble(value, precision))
+                << "precision " << precision;
+        }
+    }
 }
 
 TEST(TimeUtil, FormatShape)

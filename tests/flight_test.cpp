@@ -21,11 +21,13 @@
 #include <sstream>
 
 #include "analysis/model_lint.hpp"
+#include "collect/stream_perturber.hpp"
 #include "core/checker/interleaved_checker.hpp"
 #include "core/mining/latency_profile.hpp"
 #include "core/mining/model_io.hpp"
 #include "core/monitor/report_json.hpp"
 #include "core/monitor/workflow_monitor.hpp"
+#include "eval/accuracy_harness.hpp"
 #include "eval/latency_harness.hpp"
 #include "obs/flight_recorder.hpp"
 #include "test_util.hpp"
@@ -554,13 +556,57 @@ TEST(FlightRecorderTest, BundleStoreIsBounded)
     config.perNodeCapacity = 1;
     config.maxBundles = 2;
     obs::FlightRecorder recorder(config);
-    recorder.addBundle("{\"n\":1}");
-    recorder.addBundle("{\"n\":2}");
-    recorder.addBundle("{\"n\":3}");
+    recorder.record("n1", 1.0, "a");
+    for (int n = 1; n <= 3; ++n)
+        recorder.freezeBundle() += "{\"n\":" + std::to_string(n);
+    const std::string context =
+        ",\"context\":[{\"node\":\"n1\",\"time\":1.000,\"line\":\"a\"}]}";
     ASSERT_EQ(recorder.bundles().size(), 2u);
-    EXPECT_EQ(recorder.bundles()[0], "{\"n\":2}");
+    EXPECT_EQ(recorder.bundles()[0], "{\"n\":2" + context);
     EXPECT_EQ(recorder.droppedBundles(), 1u);
-    EXPECT_EQ(recorder.bundleJsonLines(), "{\"n\":2}\n{\"n\":3}\n");
+    EXPECT_EQ(recorder.bundleJsonLines(),
+              "{\"n\":2" + context + "\n{\"n\":3" + context + "\n");
+}
+
+TEST(FlightRecorderTest, ZeroBundleCapDropsEveryFreeze)
+{
+    obs::FlightRecorderConfig config;
+    config.perNodeCapacity = 1;
+    config.maxBundles = 0;
+    obs::FlightRecorder recorder(config);
+    recorder.record("n1", 1.0, "a");
+    recorder.freezeBundle() += "{\"n\":1";
+    EXPECT_TRUE(recorder.bundles().empty());
+    EXPECT_EQ(recorder.droppedBundles(), 1u);
+    EXPECT_EQ(recorder.bundleJsonLines(), "");
+}
+
+TEST(FlightRecorderTest, FrozenContextIgnoresLaterLines)
+{
+    obs::FlightRecorderConfig config;
+    config.perNodeCapacity = 2;
+    obs::FlightRecorder recorder(config);
+    recorder.record("n2", 2.0, "b \"quoted\"\t\x01");
+    recorder.record("n1", 2.0, "a");
+    recorder.record("n1", 1.0, "first");
+    recorder.freezeBundle() += "{}";
+    const std::string frozen =
+        "{},\"context\":[{\"node\":\"n1\",\"time\":1.000,"
+        "\"line\":\"first\"},{\"node\":\"n1\",\"time\":2.000,"
+        "\"line\":\"a\"},{\"node\":\"n2\",\"time\":2.000,"
+        "\"line\":\"b \\\"quoted\\\"\\t\\u0001\"}]}";
+    ASSERT_EQ(recorder.bundles().size(), 1u);
+    EXPECT_EQ(recorder.bundles()[0], frozen);
+
+    // Overwrite every ring slot, with a new node in front of the old
+    // ones in key order: the frozen bundle must not move.
+    for (int i = 0; i < 10; ++i) {
+        recorder.record("n0", 3.0 + i, std::string(40, 'x'));
+        recorder.record("n1", 3.0 + i, "later");
+        recorder.record("n2", 3.0 + i, "");
+    }
+    ASSERT_EQ(recorder.bundles().size(), 1u);
+    EXPECT_EQ(recorder.bundles()[0], frozen);
 }
 
 // --- Monitor wiring ------------------------------------------------
@@ -864,4 +910,110 @@ TEST(LatencyEval, PrecisionAndRecallOnDelayFaults)
     EXPECT_NE(json.find("\"kind\":\"LATENCY_EVAL\""),
               std::string::npos);
     EXPECT_NE(json.find("\"precision\":"), std::string::npos);
+}
+
+// --- Pinned forensic bundles ---------------------------------------
+
+namespace {
+
+/**
+ * A seeded hardened, flight-armed monitor over a perturbed wire
+ * stream: drops, duplicates, truncation, corruption and skew make
+ * problem reports, eight-line rings wrap many times over, and the
+ * reports (60 of them) overflow a store of eight bundles unless the
+ * store is given more room.
+ */
+struct PinnedFlightRun
+{
+    std::vector<std::string> lines;
+    std::unique_ptr<WorkflowMonitor> monitor;
+
+    explicit PinnedFlightRun(std::size_t max_bundles = 8)
+    {
+        eval::DatasetConfig dataset_config;
+        dataset_config.users = 4;
+        dataset_config.tasksPerUser = 40;
+        dataset_config.seed = 4242;
+        eval::GeneratedDataset dataset =
+            eval::generateDataset(dataset_config);
+
+        collect::PerturbationConfig adversity;
+        adversity.dropProbability = 0.02;
+        adversity.duplicateProbability = 0.02;
+        adversity.truncateProbability = 0.02;
+        adversity.corruptProbability = 0.02;
+        adversity.clockSkewMaxSeconds = 0.05;
+        adversity.seed = 17;
+        lines = collect::StreamPerturber(adversity)
+                    .apply(dataset.stream)
+                    .lines;
+
+        MonitorConfig config;
+        config.ingest = hardenedIngestDefaults();
+        config.observability.flightRecorder.perNodeCapacity = 8;
+        config.observability.flightRecorder.maxBundles = max_bundles;
+        monitor = std::make_unique<WorkflowMonitor>(
+            config, evalModels().catalog, evalModels().automataCopy());
+    }
+};
+
+/** FNV-1a over the bytes, as 16 hex digits. */
+std::string
+fnv1aHex(const std::string &bytes)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    for (char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ull;
+    }
+    char out[17];
+    std::snprintf(out, sizeof out, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return out;
+}
+
+} // namespace
+
+TEST(PinnedBundles, BundleBytesAndOrderArePinned)
+{
+    PinnedFlightRun run;
+    for (const std::string &line : run.lines)
+        run.monitor->feedLine(line);
+    run.monitor->finish();
+    const obs::FlightRecorder &flight = *run.monitor->flightRecorder();
+    const std::string bundles = run.monitor->forensicBundleJsonLines();
+
+    // Pinned from the recorder that rendered each bundle eagerly when
+    // it was frozen: the same bytes, the same retained order, the same
+    // drop count.
+    ASSERT_EQ(run.lines.size(), 1922u);
+    EXPECT_EQ(flight.bundles().size(), 8u);
+    EXPECT_EQ(flight.droppedBundles(), 52u);
+    EXPECT_EQ(bundles.size(), 74328u);
+    EXPECT_EQ(fnv1aHex(bundles), "d462e9eab158e4ad");
+    // Malformed wire lines are part of the frozen context.
+    EXPECT_NE(bundles.find("\"node\":\"<malformed>\""), std::string::npos);
+}
+
+TEST(PinnedBundles, FrozenBundlesOutliveRingOverwrites)
+{
+    PinnedFlightRun run(64);
+    const obs::FlightRecorder &flight = *run.monitor->flightRecorder();
+    std::size_t at = 0;
+    while (at < run.lines.size() && flight.bundles().size() < 8)
+        run.monitor->feedLine(run.lines[at++]);
+    const std::vector<std::string> before = flight.bundles();
+    ASSERT_EQ(before.size(), 8u);
+
+    // 1,000 more lines overwrite every eight-line ring many times.
+    ASSERT_GE(run.lines.size() - at, 1000u);
+    for (std::size_t end = at + 1000; at < end; ++at)
+        run.monitor->feedLine(run.lines[at]);
+
+    // The bundles frozen before are byte for byte what they were.
+    const std::vector<std::string> after = flight.bundles();
+    EXPECT_EQ(flight.droppedBundles(), 0u);
+    ASSERT_GT(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_EQ(after[i], before[i]) << "bundle " << i;
 }
