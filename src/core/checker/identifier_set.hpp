@@ -60,6 +60,17 @@ class IdentifierSet
     /** Union with another set. */
     void unionWith(const IdentifierSet &other);
 
+    /** Replace the contents with a sorted-unique view, in this set's
+     *  own buffer. */
+    void
+    assign(const std::vector<logging::IdToken> &sorted_unique)
+    {
+        items.assign(sorted_unique.begin(), sorted_unique.end());
+    }
+
+    /** Remove every token, keeping the buffer. */
+    void clear() { items.clear(); }
+
     /** Membership test. */
     bool contains(logging::IdToken value) const;
 

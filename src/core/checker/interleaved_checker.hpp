@@ -327,10 +327,18 @@ class InterleavedChecker : public BaseChecker
     /** Pure deterministic pick: index into a pool of `pool_size`. */
     std::size_t equivalencePickIndex(std::size_t pool_size);
 
-    std::map<GroupId, AutomatonGroup> groups;
+    using GroupMap = std::map<GroupId, AutomatonGroup>;
+    using IdSetMap = std::map<std::uint64_t, IdSetEntry>;
+    using RelationMap = std::map<GroupId, std::uint64_t>;
+    using PostingMap =
+        std::unordered_map<logging::IdToken, std::vector<std::uint64_t>>;
+    using ContentsMap =
+        std::map<std::vector<logging::IdToken>, std::vector<std::uint64_t>>;
+
+    GroupMap groups;
     RemovalCounts removalCounts;
-    std::map<std::uint64_t, IdSetEntry> idsets;
-    std::map<GroupId, std::uint64_t> groupToSet;
+    IdSetMap idsets;
+    RelationMap groupToSet;
 
     /**
      * Inverted routing index: token -> sorted-insertion list of the
@@ -338,8 +346,7 @@ class InterleavedChecker : public BaseChecker
      * creation, in-place expansion, and retirement; entries whose
      * lists drain are erased so the index never outgrows live state.
      */
-    std::unordered_map<logging::IdToken, std::vector<std::uint64_t>>
-        postings;
+    PostingMap postings;
 
     /**
      * Exact-contents lookup for findOrCreateIdSet: token vector ->
@@ -347,8 +354,32 @@ class InterleavedChecker : public BaseChecker
      * expansion can transiently alias two sets; the scan semantics
      * pick the lowest id, so the front() is the answer).
      */
-    std::map<std::vector<logging::IdToken>, std::vector<std::uint64_t>>
-        setsByContents;
+    ContentsMap setsByContents;
+
+    // --- recycled map nodes (DESIGN.md §19) ----------------------------
+    //
+    // An erased entry's node is extracted here with its buffers (a
+    // group's arena and history, a set's token and member vectors, a
+    // posting list, a contents key) and the next entry created in that
+    // map reuses it. Each list is trimmed to its map's live size plus
+    // kSpareNodeFloor, so recycling keeps state O(live work). Spares
+    // are not checker state: saveState never writes them.
+
+    std::vector<GroupMap::node_type> spareGroups;
+    std::vector<IdSetMap::node_type> spareIdSets;
+    std::vector<RelationMap::node_type> spareRelations;
+    std::vector<PostingMap::node_type> sparePostings;
+    std::vector<ContentsMap::node_type> spareContents;
+
+    /** Posting for `token` -> `set_id`, reusing a spare posting node. */
+    void addPosting(logging::IdToken token, std::uint64_t set_id);
+
+    /** groupToSet[gid] = set_id, reusing a spare relation node. */
+    void relate(GroupId gid, std::uint64_t set_id);
+
+    /** A live group entry under `gid`, in a spare node when there is one
+     *  (its contents are stale: the caller resets or clones into it). */
+    AutomatonGroup &insertGroup(GroupId gid);
 
     std::uint64_t nextGroupId = 1;
     std::uint64_t nextIdSetId = 1;
@@ -397,7 +428,8 @@ class InterleavedChecker : public BaseChecker
      * identical sets are one element, which is what lets the
      * equivalent-group heuristic collapse interchangeable groups).
      */
-    std::uint64_t findOrCreateIdSet(IdentifierSet ids);
+    std::uint64_t
+    findOrCreateIdSet(const std::vector<logging::IdToken> &sorted_unique);
 
     // --- routing-index maintenance ------------------------------------
 
@@ -415,9 +447,10 @@ class InterleavedChecker : public BaseChecker
     void contentsRemove(std::uint64_t set_id,
                         const std::vector<logging::IdToken> &contents);
 
-    /** Register a brand-new group with a fresh identifier set. */
-    void registerGroup(AutomatonGroup &&group,
-                       IdentifierSet initial_ids);
+    /** Give a brand-new group (already in `groups`) its identifier
+     *  set. */
+    void registerGroup(GroupId gid,
+                       const std::vector<logging::IdToken> &initial_ids);
 
     /** Remove one group and its relation entries. */
     void eraseGroup(GroupId group);
@@ -512,7 +545,7 @@ class InterleavedChecker : public BaseChecker
      * true when the execution ran over its task-level budget.
      */
     bool annotateLatency(CheckEvent &event, const AutomatonGroup &group,
-                         const AutomatonInstance &instance) const;
+                         InstanceView instance) const;
 
     /**
      * Message-clock time of the current feed/sweep, so generic
@@ -558,6 +591,9 @@ class InterleavedChecker : public BaseChecker
     /** Case 2: the hypotheses to fork, and their clones. */
     std::vector<GroupId> forkScratch;
     std::vector<GroupId> touchedScratch;
+    /** Case 2 over the fan-out cap: (history length, position) per
+     *  contender. */
+    std::vector<std::pair<std::size_t, std::size_t>> forkRankScratch;
 
     /** candidateGroups: one live member of a set, with its state
      *  signature and its position in the member list. */
@@ -577,6 +613,11 @@ class InterleavedChecker : public BaseChecker
     std::vector<GroupId> removalScratch;
     /** applyDecisiveIdUpdate: tokens new to the expanded set. */
     std::vector<logging::IdToken> addedScratch;
+    /** Contents of a set being created: a shared set's expanded copy
+     *  (case 1) or the pooled set of a fork (case 2). */
+    IdentifierSet contentsScratch;
+    /** Recovery (d): edges removed by the current repair. */
+    std::vector<AutomatonGroup::RepairedEdge> repairedScratch;
 
     /** Error-message criterion (paper §4, Problem Detection). */
     void applyErrorCriterion(const CheckMessage &message,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/automaton/automaton_instance.hpp"
 
@@ -80,8 +81,7 @@ mineLatencyProfile(const TaskAutomaton &automaton,
             continue; // truncated run: its missing edges never fired
         ++profile.runs;
 
-        const std::vector<common::SimTime> &when =
-            instance.consumeTimes();
+        std::span<const common::SimTime> when = instance.consumeTimes();
         for (const DependencyEdge &edge : automaton.edges()) {
             double dt = when[static_cast<std::size_t>(edge.to)] -
                         when[static_cast<std::size_t>(edge.from)];

@@ -18,13 +18,13 @@
 #ifndef CLOUDSEER_CORE_MONITOR_WORKFLOW_MONITOR_HPP
 #define CLOUDSEER_CORE_MONITOR_WORKFLOW_MONITOR_HPP
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
+#include "common/head_queue.hpp"
 #include "core/checker/interleaved_checker.hpp"
 #include "core/checker/sharded_checker.hpp"
 #include "core/monitor/report.hpp"
@@ -543,13 +543,15 @@ class WorkflowMonitor
     std::vector<QuarantinedLine> quarantined;
 
     // Reorder buffer state.
-    std::deque<BufferedRecord> reorderBuffer; ///< kept timestamp-sorted
+    /** Kept timestamp-sorted; vector-backed, so a steady depth of
+     *  buffered records allocates nothing. */
+    common::HeadQueue<BufferedRecord> reorderBuffer;
     common::SimTime highestSeen = 0.0;
     std::uint64_t nextSeq = 0;
 
     // Dedup state: key -> newest message time, plus an expiry queue.
     std::unordered_map<std::string, common::SimTime> recentKeys;
-    std::deque<std::pair<common::SimTime, std::string>> recentOrder;
+    common::HeadQueue<std::pair<common::SimTime, std::string>> recentOrder;
 
     /** Scratch for the sharded per-record flush (avoids reallocating). */
     std::vector<CheckEvent> stepEvents;

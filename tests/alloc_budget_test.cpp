@@ -4,17 +4,20 @@
  *
  * WorkflowMonitor::feedLine decodes, extracts and checks into scratch
  * the monitor and checker own (DESIGN.md §18), so once warmed up a line
- * allocates only for state that outlives the call: new groups and
- * identifier sets, newly interned identifiers, and the reports. This
- * binary replaces the global operator new with a counting one and holds
- * a seeded simulator stream (Table 3 group 6 traffic: four users behind
+ * allocates only for state that outlives the call: newly interned
+ * identifiers, index entries for new tokens, and the reports; new
+ * groups and identifier sets reuse retired ones' buffers. This binary
+ * replaces the global operator new with a counting one and holds a
+ * seeded simulator stream (Table 3 group 6 traffic: four users behind
  * one UID) to a per-line budget. A second test arms the flight recorder
  * and holds the calls that freeze a forensic bundle to the allocations
- * the same calls make without the recorder.
+ * the same calls make without the recorder. A third holds the checker's
+ * forking and repairing calls on a fork-heavy stream to a budget.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,9 +25,12 @@
 
 #include "collect/stream_merger.hpp"
 #include "collect/stream_perturber.hpp"
+#include "core/checker/interleaved_checker.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "eval/modeling_harness.hpp"
+#include "logging/identifier_interner.hpp"
 #include "logging/log_codec.hpp"
+#include "logging/variable_extractor.hpp"
 #include "sim/simulation.hpp"
 #include "workload/workload_generator.hpp"
 
@@ -88,13 +94,23 @@ using namespace cloudseer;
 
 /**
  * Allocations per line allowed once the monitor is warmed up. Measured
- * 5.1 (first monitor) and 4.7 (second) on this stream, almost all of it
- * new groups (a fresh group holds one instance of every automaton that
- * can start on its first message), their identifier sets and the
- * reports. The headroom is for standard-library differences: one new
- * temporary per line would exceed it.
+ * 0.81 (first monitor) and 0.46 (second) on this stream, down from 5.1
+ * and 4.7 before groups, identifier sets and their index entries were
+ * recycled (DESIGN.md §19). What is left is the reports, newly interned
+ * identifiers, and index entries for brand-new tokens. The headroom is
+ * for standard-library differences: a new temporary per line would
+ * exceed it.
  */
-constexpr double kBudgetPerLine = 6.0;
+constexpr double kBudgetPerLine = 1.3;
+
+/**
+ * Allocations per forking or repairing feed() call once warm. Measured
+ * 1.26 (0.85 for the other calls of the same stream): a fork still
+ * grows state the other calls do not, posting entries for the pooled
+ * set's tokens and the parents' child links, and a recycled node's
+ * buffers grow the first time it holds a larger group.
+ */
+constexpr double kForkRepairBudgetPerCall = 1.5;
 
 const eval::ModeledSystem &
 models()
@@ -260,4 +276,104 @@ TEST(AllocBudget, FreezingABundleAllocatesNothingOnceWarm)
     // rate may not exceed the others'; a single allocation per freeze
     // would put it above 1.0.
     EXPECT_LE(freezingExtra * otherCalls, otherExtra * freezingCalls);
+}
+
+TEST(AllocBudget, ForkingAndRepairingReuseRetiredGroups)
+{
+    // Sixteen users behind one UID with a slow shipping tail, so late
+    // records arrive behind their successors (recovery d repairs), and
+    // every fifth message stripped of its identifiers, so it routes to
+    // every live group and forks the ones that can take it (case 2).
+    // Clones and repairs fill retired groups' buffers; before groups
+    // were recycled, the same calls made 27.9 allocations each.
+    sim::Simulation simulation(sim::SimConfig{}, 5);
+    workload::WorkloadConfig traffic;
+    traffic.users = 16;
+    traffic.singleUid = true;
+    traffic.tasksPerUser = 24;
+    traffic.seed = 5;
+    workload::WorkloadGenerator(traffic).submitAll(simulation);
+    simulation.run();
+    collect::ShippingConfig shipping;
+    shipping.tailProbability = 0.05;
+    shipping.tailMin = 0.05;
+    shipping.tailMax = 0.6;
+    shipping.seed = 5;
+    const std::vector<logging::LogRecord> records =
+        collect::mergeStream(simulation.records(), shipping);
+
+    logging::VariableExtractor extractor;
+    std::vector<core::CheckMessage> messages;
+    for (const logging::LogRecord &record : records) {
+        logging::ParsedBody parsed = extractor.parse(record.body);
+        core::CheckMessage message;
+        message.tpl =
+            models().catalog->find(record.service, parsed.templateText);
+        if (messages.size() % 5 != 4) {
+            for (const logging::Variable &var : parsed.variables) {
+                if (var.kind != logging::VariableKind::Number)
+                    message.identifiers.push_back(
+                        logging::IdentifierInterner::process().intern(
+                            var.text));
+            }
+        }
+        message.level = record.level;
+        message.record = record.id;
+        message.time = record.timestamp;
+        messages.push_back(std::move(message));
+    }
+
+    std::vector<const core::TaskAutomaton *> automata;
+    for (const core::TaskAutomaton &automaton : models().automata)
+        automata.push_back(&automaton);
+    core::InterleavedChecker checker(core::CheckerConfig{}, automata);
+    // A 10 s timeout keeps the live set bounded, so the second half
+    // runs on state no larger than the first half built.
+    constexpr double kTimeout = 10.0;
+    const std::size_t warm = messages.size() / 2;
+    std::size_t warmPeak = 0;
+    for (std::size_t i = 0; i < warm; ++i) {
+        checker.feed(messages[i]);
+        if ((i + 1) % 64 == 0)
+            checker.sweepTimeouts(messages[i].time, kTimeout);
+        warmPeak = std::max(warmPeak, checker.activeGroups());
+    }
+
+    std::uint64_t forkRepairCalls = 0, forkRepairAllocs = 0;
+    std::uint64_t otherCalls = 0, otherAllocs = 0;
+    std::size_t peak = 0;
+    for (std::size_t i = warm; i < messages.size(); ++i) {
+        const core::CheckerStats before = checker.stats();
+        allocations = 0;
+        counting = true;
+        checker.feed(messages[i]);
+        counting = false;
+        const core::CheckerStats &after = checker.stats();
+        if (after.ambiguous != before.ambiguous ||
+            after.recoveredFalseDependency !=
+                before.recoveredFalseDependency) {
+            ++forkRepairCalls;
+            forkRepairAllocs += allocations;
+        } else {
+            ++otherCalls;
+            otherAllocs += allocations;
+        }
+        if ((i + 1) % 64 == 0)
+            checker.sweepTimeouts(messages[i].time, kTimeout);
+        peak = std::max(peak, checker.activeGroups());
+    }
+    ASSERT_GT(forkRepairCalls, 500u);
+    ASSERT_LE(peak, warmPeak) << "the measured half must be warm";
+
+    const double forkRepairRate = static_cast<double>(forkRepairAllocs) /
+                                  static_cast<double>(forkRepairCalls);
+    const double otherRate = static_cast<double>(otherAllocs) /
+                             static_cast<double>(otherCalls);
+    std::printf("allocations per feed: %.3f over %llu forking or repairing "
+                "calls, %.3f over %llu other calls (budget %.2f)\n",
+                forkRepairRate,
+                static_cast<unsigned long long>(forkRepairCalls), otherRate,
+                static_cast<unsigned long long>(otherCalls),
+                kForkRepairBudgetPerCall);
+    EXPECT_LE(forkRepairRate, kForkRepairBudgetPerCall);
 }

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <random>
 #include <set>
+#include <string>
 
+#include "common/head_queue.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
@@ -119,6 +123,46 @@ TEST(Rng, ForkProducesIndependentStream)
     Rng a(21);
     Rng child = a.fork();
     EXPECT_NE(a.uniformU64(), child.uniformU64());
+}
+
+TEST(HeadQueue, MatchesDequeUnderMixedOperations)
+{
+    // Seeded pushes, pops and sorted inserts from the back (the reorder
+    // buffer's pattern), checked element for element against a deque;
+    // the pops cross the compaction point many times.
+    std::mt19937 gen(7);
+    HeadQueue<std::string> queue;
+    std::deque<std::string> reference;
+    for (int step = 0; step < 20000; ++step) {
+        const int op = static_cast<int>(gen() % 10);
+        if (op < 4) {
+            std::string value = "v" + std::to_string(gen() % 1000);
+            queue.push_back(std::string(value));
+            reference.push_back(value);
+        } else if (op < 6) {
+            std::string value = "v" + std::to_string(gen() % 1000);
+            auto pos = queue.end();
+            while (pos != queue.begin() && *std::prev(pos) > value)
+                --pos;
+            auto ref = reference.end();
+            while (ref != reference.begin() && *std::prev(ref) > value)
+                --ref;
+            queue.insert(pos, std::string(value));
+            reference.insert(ref, value);
+        } else if (!reference.empty()) {
+            ASSERT_EQ(queue.front(), reference.front());
+            queue.pop_front();
+            reference.pop_front();
+        }
+        ASSERT_EQ(queue.size(), reference.size());
+        ASSERT_EQ(queue.empty(), reference.empty());
+    }
+    ASSERT_TRUE(std::equal(queue.begin(), queue.end(), reference.begin(),
+                           reference.end()));
+    queue.clear();
+    EXPECT_TRUE(queue.empty());
+    queue.emplace_back("after clear");
+    EXPECT_EQ(queue.front(), "after clear");
 }
 
 TEST(Uuid, WellFormed)
