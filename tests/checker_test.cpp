@@ -99,8 +99,8 @@ TEST(AutomatonGroup, NarrowsToConsumingInstances)
     ASSERT_TRUE(group.consume(letters.id("B"), 2, 0.1));
     ASSERT_EQ(group.instances().size(), 1u);
     EXPECT_EQ(group.instances()[0].automaton().name(), "x");
-    ASSERT_NE(group.acceptingInstance(), nullptr);
-    EXPECT_EQ(group.acceptingInstance()->automaton().name(), "x");
+    ASSERT_TRUE(group.acceptingInstance());
+    EXPECT_EQ(group.acceptingInstance().automaton().name(), "x");
 }
 
 TEST(AutomatonGroup, DivergenceLeavesGroupUntouched)
@@ -141,6 +141,40 @@ TEST(AutomatonGroup, CloneTracksLineage)
     EXPECT_EQ(clone.parent(), 3u);
     EXPECT_EQ(clone.history().size(), 1u);
     EXPECT_TRUE(clone.equivalentTo(group));
+}
+
+TEST(AutomatonGroup, CloneIntoCopiesOnlyCandidatesThatTakeTheNextMessage)
+{
+    LetterCatalog letters;
+    TaskAutomaton x = makeLetterAutomaton(letters, "x", {"A", "B"},
+                                          {{"A", "B"}});
+    TaskAutomaton y = makeLetterAutomaton(letters, "y", {"A", "C"},
+                                          {{"A", "C"}});
+    const std::vector<const TaskAutomaton *> automata = {&x, &y};
+    AutomatonGroup group(3, automata);
+    ASSERT_TRUE(group.consume(letters.id("A"), 1, 0.0));
+    group.addChild(4);
+
+    // A fork into a used group copies only x, which takes B, and then
+    // matches a full copy that consumed B.
+    AutomatonGroup expected = group.cloneAs(9);
+    ASSERT_TRUE(expected.consume(letters.id("B"), 2, 0.1));
+    AutomatonGroup target(5, {&y, &x, &y});
+    group.cloneInto(target, 9, letters.id("B"));
+    ASSERT_EQ(target.instances().size(), 1u);
+    EXPECT_EQ(&target.instances()[0].automaton(), &x);
+    ASSERT_TRUE(target.consume(letters.id("B"), 2, 0.1));
+
+    auto image = [&automata](const AutomatonGroup &g) {
+        common::BinWriter out;
+        g.saveState(out, automata);
+        return out.bytes();
+    };
+    EXPECT_EQ(image(target), image(expected));
+    EXPECT_EQ(target.parent(), 3u);
+    EXPECT_TRUE(target.children().empty());
+    EXPECT_EQ(target.candidateTaskNames(), expected.candidateTaskNames());
+    EXPECT_EQ(target.stateSignature(), expected.stateSignature());
 }
 
 // --- InterleavedChecker (Algorithm 2) -----------------------------------
