@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/char_class.hpp"
+
 namespace cloudseer::common {
 
 namespace {
@@ -15,6 +17,102 @@ constexpr int kEpochMonth = 1;
 constexpr int kEpochDay = 12;
 
 constexpr double kSecondsPerDay = 86400.0;
+
+/**
+ * Append `value` as printf's "%0<width>d" does: an optional '-', then
+ * the decimal digits, zero-padded so sign and digits fill `width`.
+ */
+void
+appendPadded(std::string &out, int value, int width)
+{
+    char digits[12];
+    int n = 0;
+    // Unsigned magnitude: -INT_MIN does not fit an int.
+    unsigned magnitude = value < 0 ? 0u - static_cast<unsigned>(value)
+                                   : static_cast<unsigned>(value);
+    do {
+        digits[n++] = static_cast<char>('0' + magnitude % 10);
+        magnitude /= 10;
+    } while (magnitude != 0);
+    int len = n + (value < 0 ? 1 : 0);
+    if (value < 0)
+        out += '-';
+    if (len < width)
+        out.append(static_cast<std::size_t>(width - len), '0');
+    while (n > 0)
+        out += digits[--n];
+}
+
+/** The seven numeric fields of a stamp, in text order. */
+struct StampFields
+{
+    int year = 0, month = 0, day = 0, hh = 0, mm = 0, ss = 0, millis = 0;
+};
+
+/**
+ * Read `count` digits at `at`; false when any byte there is not a
+ * digit. The caller has checked the length.
+ */
+bool
+readDigits(const char *at, int count, int &value)
+{
+    int v = 0;
+    for (int i = 0; i < count; ++i) {
+        if (!isDigit(at[i]))
+            return false;
+        v = v * 10 + (at[i] - '0');
+    }
+    value = v;
+    return true;
+}
+
+/**
+ * The canonical stamp "dddd-dd-dd dd:dd:dd.ddd", exactly 23 bytes.
+ * On this shape every "%d" of the sscanf format reads exactly its
+ * digit group, so the fields are the ones sscanf would produce.
+ *
+ * @retval false when the text is not of that shape (the fields are then
+ *         unspecified).
+ */
+bool
+parseCanonical(std::string_view text, StampFields &f)
+{
+    if (text.size() != 23 || text[4] != '-' || text[7] != '-' ||
+        text[10] != ' ' || text[13] != ':' || text[16] != ':' ||
+        text[19] != '.') {
+        return false;
+    }
+    const char *s = text.data();
+    return readDigits(s, 4, f.year) && readDigits(s + 5, 2, f.month) &&
+           readDigits(s + 8, 2, f.day) && readDigits(s + 11, 2, f.hh) &&
+           readDigits(s + 14, 2, f.mm) && readDigits(s + 17, 2, f.ss) &&
+           readDigits(s + 20, 3, f.millis);
+}
+
+/**
+ * Every other text goes through the original sscanf, so signs,
+ * whitespace runs, long digit runs and overflow behave exactly as
+ * they always have.
+ */
+bool
+parseGeneral(std::string_view text, StampFields &f)
+{
+    // sscanf needs a terminated string. Stamps are ~23 bytes, so a
+    // stack copy serves every real line; longer text (garbage) takes
+    // the heap, which keeps the parse identical for any input.
+    char local[64];
+    std::string spill;
+    const char *cstr = local;
+    if (text.size() < sizeof(local)) {
+        std::memcpy(local, text.data(), text.size());
+        local[text.size()] = '\0';
+    } else {
+        spill.assign(text);
+        cstr = spill.c_str();
+    }
+    return std::sscanf(cstr, "%d-%d-%d %d:%d:%d.%d", &f.year, &f.month,
+                       &f.day, &f.hh, &f.mm, &f.ss, &f.millis) == 7;
+}
 
 } // namespace
 
@@ -37,12 +135,20 @@ appendTimestamp(SimTime t, std::string &out)
     // Days roll the date forward within January for simplicity; runs are
     // far shorter than the remaining days of the month.
     int day = kEpochDay + static_cast<int>(days);
-    char buf[48];
-    int len = std::snprintf(buf, sizeof(buf),
-                            "%04d-%02d-%02d %02d:%02d:%02d.%03d",
-                            kEpochYear, kEpochMonth, day, hh, mm, ss,
-                            millis);
-    out.append(buf, static_cast<std::size_t>(len));
+    // The bytes of "%04d-%02d-%02d %02d:%02d:%02d.%03d", written by hand.
+    appendPadded(out, kEpochYear, 4);
+    out += '-';
+    appendPadded(out, kEpochMonth, 2);
+    out += '-';
+    appendPadded(out, day, 2);
+    out += ' ';
+    appendPadded(out, hh, 2);
+    out += ':';
+    appendPadded(out, mm, 2);
+    out += ':';
+    appendPadded(out, ss, 2);
+    out += '.';
+    appendPadded(out, millis, 3);
 }
 
 std::string
@@ -56,28 +162,13 @@ formatTimestamp(SimTime t)
 bool
 parseTimestamp(std::string_view text, SimTime &out)
 {
-    // sscanf needs a terminated string. Stamps are ~23 bytes, so a
-    // stack copy serves every real line; longer text (garbage) takes
-    // the heap, which keeps the parse identical for any input.
-    char local[64];
-    std::string spill;
-    const char *cstr = local;
-    if (text.size() < sizeof(local)) {
-        std::memcpy(local, text.data(), text.size());
-        local[text.size()] = '\0';
-    } else {
-        spill.assign(text);
-        cstr = spill.c_str();
-    }
-    int year = 0, month = 0, day = 0, hh = 0, mm = 0, ss = 0, millis = 0;
-    int n = std::sscanf(cstr, "%d-%d-%d %d:%d:%d.%d",
-                        &year, &month, &day, &hh, &mm, &ss, &millis);
-    if (n != 7 || year != kEpochYear || month != kEpochMonth ||
-        day < kEpochDay) {
+    StampFields f;
+    if (!parseCanonical(text, f) && !parseGeneral(text, f))
         return false;
-    }
-    out = (day - kEpochDay) * kSecondsPerDay + hh * 3600.0 + mm * 60.0 +
-          ss + millis / 1000.0;
+    if (f.year != kEpochYear || f.month != kEpochMonth || f.day < kEpochDay)
+        return false;
+    out = (f.day - kEpochDay) * kSecondsPerDay + f.hh * 3600.0 +
+          f.mm * 60.0 + f.ss + f.millis / 1000.0;
     return true;
 }
 

@@ -99,7 +99,7 @@ IdentifierInterner::restoreState(common::BinReader &in)
         std::string entry = in.readString();
         if (!in.ok())
             return false;
-        auto it = index.find(std::string_view(entry));
+        auto it = index.find(entry);
         IdToken token;
         if (it != index.end()) {
             token = it->second;

@@ -33,11 +33,11 @@
 #define CLOUDSEER_LOGGING_IDENTIFIER_INTERNER_HPP
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/binio.hpp"
 
@@ -124,20 +124,10 @@ class IdentifierInterner
     static IdentifierInterner &process();
 
   private:
-    struct StringHash
-    {
-        using is_transparent = void;
-        std::size_t
-        operator()(std::string_view s) const
-        {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
-
-    std::vector<std::string> tokens; // token -> text
-    std::unordered_map<std::string, IdToken, StringHash,
-                       std::equal_to<>>
-        index;
+    /** token -> text. A deque never moves its elements, so each text
+     *  is stored once here and `index` keys on views of it. */
+    std::deque<std::string> tokens;
+    std::unordered_map<std::string_view, IdToken> index;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
     std::size_t maxEntries = 0; ///< 0 = unlimited

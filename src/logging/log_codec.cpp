@@ -1,7 +1,6 @@
 #include "logging/log_codec.hpp"
 
-#include <cctype>
-
+#include "common/char_class.hpp"
 #include "common/time_util.hpp"
 
 namespace cloudseer::logging {
@@ -12,15 +11,11 @@ namespace {
 std::string_view
 takeToken(std::string_view line, std::size_t &pos)
 {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
+    while (pos < line.size() && common::isSpace(line[pos]))
         ++pos;
-    }
     std::size_t start = pos;
-    while (pos < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[pos]))) {
+    while (pos < line.size() && !common::isSpace(line[pos]))
         ++pos;
-    }
     return line.substr(start, pos - start);
 }
 
@@ -101,10 +96,8 @@ decodeLogLineInto(std::string_view line, LogRecord &record,
     if (!parseLogLevel(level_text, record.level))
         return fail(DecodeFailure::BadHeader);
 
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
+    while (pos < line.size() && common::isSpace(line[pos]))
         ++pos;
-    }
     if (pos == line.size())
         return fail(DecodeFailure::TruncatedPayload);
     record.id = 0;

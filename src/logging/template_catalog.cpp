@@ -4,81 +4,47 @@
 
 namespace cloudseer::logging {
 
-namespace {
-
-constexpr char kSeparator = '\x1f';
-
-/** FNV-1a over one segment, continuing from `h`. */
-std::uint64_t
-fnvStep(std::uint64_t h, std::string_view bytes)
-{
-    for (char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-} // namespace
-
 std::size_t
-TemplateCatalog::KeyHash::operator()(const std::string &joined) const
+TemplateCatalog::keyHash(std::string_view service, std::string_view text)
 {
-    return static_cast<std::size_t>(fnvStep(kFnvOffset, joined));
-}
-
-std::size_t
-TemplateCatalog::KeyHash::operator()(const KeyRef &ref) const
-{
-    std::uint64_t h = fnvStep(kFnvOffset, ref.service);
-    h = fnvStep(h, std::string_view(&kSeparator, 1));
-    return static_cast<std::size_t>(fnvStep(h, ref.text));
-}
-
-bool
-TemplateCatalog::KeyEqual::operator()(const KeyRef &ref,
-                                      const std::string &joined) const
-{
-    std::size_t slen = ref.service.size();
-    if (joined.size() != slen + 1 + ref.text.size())
-        return false;
-    return joined.compare(0, slen, ref.service) == 0 &&
-           joined[slen] == kSeparator &&
-           joined.compare(slen + 1, std::string::npos, ref.text) == 0;
-}
-
-std::string
-TemplateCatalog::key(const std::string &service, const std::string &text)
-{
-    std::string joined;
-    joined.reserve(service.size() + 1 + text.size());
-    joined += service;
-    joined += kSeparator;
-    joined += text;
-    return joined;
+    std::hash<std::string_view> hash;
+    std::size_t h = hash(service);
+    // boost::hash_combine's mix, so (a, b) and (b, a) hash apart.
+    return h ^ (hash(text) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 
 TemplateId
-TemplateCatalog::intern(const std::string &service,
-                        const std::string &template_text)
+TemplateCatalog::lookup(std::size_t hash, std::string_view service,
+                        std::string_view text) const
 {
-    auto it = index.find(KeyRef{service, template_text});
-    if (it != index.end())
-        return it->second;
-    TemplateId id = static_cast<TemplateId>(entries.size());
-    index.emplace(key(service, template_text), id);
-    entries.push_back({service, template_text});
+    auto [it, end] = index.equal_range(hash);
+    for (; it != end; ++it) {
+        const Entry &entry = entries[it->second];
+        if (entry.text == text && entry.service == service)
+            return it->second;
+    }
+    return kInvalidTemplate;
+}
+
+TemplateId
+TemplateCatalog::intern(std::string_view service,
+                        std::string_view template_text)
+{
+    std::size_t hash = keyHash(service, template_text);
+    TemplateId id = lookup(hash, service, template_text);
+    if (id != kInvalidTemplate)
+        return id;
+    id = static_cast<TemplateId>(entries.size());
+    entries.push_back({std::string(service), std::string(template_text)});
+    index.emplace(hash, id);
     return id;
 }
 
 TemplateId
-TemplateCatalog::find(const std::string &service,
-                      const std::string &template_text) const
+TemplateCatalog::find(std::string_view service,
+                      std::string_view template_text) const
 {
-    auto it = index.find(KeyRef{service, template_text});
-    return it == index.end() ? kInvalidTemplate : it->second;
+    return lookup(keyHash(service, template_text), service, template_text);
 }
 
 const std::string &

@@ -31,12 +31,12 @@ class TemplateCatalog
 {
   public:
     /** Intern (service, template text); returns a stable id. */
-    TemplateId intern(const std::string &service,
-                      const std::string &template_text);
+    TemplateId intern(std::string_view service,
+                      std::string_view template_text);
 
     /** Look up without interning; kInvalidTemplate when unknown. */
-    TemplateId find(const std::string &service,
-                    const std::string &template_text) const;
+    TemplateId find(std::string_view service,
+                    std::string_view template_text) const;
 
     /** Service that owns the template. */
     const std::string &service(TemplateId id) const;
@@ -57,43 +57,32 @@ class TemplateCatalog
         std::string text;
     };
 
-    /** Unjoined lookup key: hashes/compares as service + '\x1f' + text
-     *  against the stored joined string, so hot-path find() never
-     *  materialises the concatenation. */
-    struct KeyRef
+    /** Hash of a (service, text) pair; see keyHash(). */
+    struct IdentityHash
     {
-        std::string_view service;
-        std::string_view text;
-    };
-
-    struct KeyHash
-    {
-        using is_transparent = void;
-        std::size_t operator()(const std::string &joined) const;
-        std::size_t operator()(const KeyRef &ref) const;
-    };
-
-    struct KeyEqual
-    {
-        using is_transparent = void;
-        bool
-        operator()(const std::string &a, const std::string &b) const
+        std::size_t
+        operator()(std::size_t h) const noexcept
         {
-            return a == b;
-        }
-        bool operator()(const KeyRef &ref, const std::string &joined) const;
-        bool
-        operator()(const std::string &joined, const KeyRef &ref) const
-        {
-            return (*this)(ref, joined);
+            return h;
         }
     };
+
+    /**
+     * Combines std::hash<std::string_view> over each field, which
+     * reads 8 bytes per step.
+     */
+    static std::size_t keyHash(std::string_view service,
+                               std::string_view text);
+
+    /** Id of (service, text) given its keyHash; kInvalidTemplate when
+     *  not interned. */
+    TemplateId lookup(std::size_t hash, std::string_view service,
+                      std::string_view text) const;
 
     std::vector<Entry> entries;
-    std::unordered_map<std::string, TemplateId, KeyHash, KeyEqual> index;
-
-    static std::string key(const std::string &service,
-                           const std::string &text);
+    /** keyHash -> id; colliding pairs share a hash and are told apart
+     *  by comparing the entry. The catalog keeps each text once. */
+    std::unordered_multimap<std::size_t, TemplateId, IdentityHash> index;
 };
 
 } // namespace cloudseer::logging

@@ -1,28 +1,17 @@
 #include "logging/variable_extractor.hpp"
 
-#include <cctype>
+#include "common/char_class.hpp"
 
 namespace cloudseer::logging {
 
 namespace {
 
-bool
-isHex(char c)
-{
-    return std::isxdigit(static_cast<unsigned char>(c)) != 0;
-}
+using common::isAlnum;
+using common::isAlpha;
+using common::isDigit;
+using common::isHex;
 
-bool
-isDigit(char c)
-{
-    return std::isdigit(static_cast<unsigned char>(c)) != 0;
-}
-
-bool
-isAlnum(char c)
-{
-    return std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
+constexpr std::size_t kUuidLength = 36;
 
 /**
  * Try to match a UUID (8-4-4-4-12 lower/upper hex) at position pos.
@@ -32,23 +21,19 @@ isAlnum(char c)
 std::size_t
 matchUuid(std::string_view s, std::size_t pos)
 {
-    static const int groups[5] = {8, 4, 4, 4, 12};
-    std::size_t p = pos;
-    for (int g = 0; g < 5; ++g) {
-        if (g > 0) {
-            if (p >= s.size() || s[p] != '-')
-                return 0;
-            ++p;
-        }
-        for (int i = 0; i < groups[g]; ++i, ++p) {
-            if (p >= s.size() || !isHex(s[p]))
-                return 0;
-        }
+    if (s.size() - pos < kUuidLength)
+        return 0;
+    const char *p = s.data() + pos;
+    for (std::size_t i = 0; i < kUuidLength; ++i) {
+        bool dash = i == 8 || i == 13 || i == 18 || i == 23;
+        if (dash ? p[i] != '-' : !isHex(p[i]))
+            return 0;
     }
     // Trailing boundary: not followed by another identifier character.
-    if (p < s.size() && (isAlnum(s[p]) || s[p] == '-'))
+    std::size_t end = pos + kUuidLength;
+    if (end < s.size() && (isAlnum(s[end]) || s[end] == '-'))
         return 0;
-    return p - pos;
+    return kUuidLength;
 }
 
 /**
@@ -97,7 +82,7 @@ matchNumber(std::string_view s, std::size_t pos)
         return 0;
     // Numbers glued to letters ("v2", "eth0") are part of a word, not a
     // variable; keep them in the template text.
-    if (p < s.size() && std::isalpha(static_cast<unsigned char>(s[p])))
+    if (p < s.size() && isAlpha(s[p]))
         return 0;
     return p - pos;
 }
@@ -126,19 +111,26 @@ VariableExtractor::parseInto(std::string_view body, ParsedBody &out) const
         out.spareTexts.push_back(std::move(var.text));
     out.variables.clear();
 
-    char prev = '\0';
+    // A variable starts only where the byte before is not a literal
+    // alphanumeric, so once a position fails to match, the rest of its
+    // alphanumeric run is literal too and is skipped whole. Literal
+    // bytes reach the template one run at a time.
+    bool prev_alnum = false; // byte before pos is a literal alnum
+    bool prev_dot = false;   // byte before pos is a literal '.'
+    std::size_t literal = 0; // start of the pending literal run
     std::size_t pos = 0;
-    while (pos < body.size()) {
+    const std::size_t size = body.size();
+    while (pos < size) {
         char c = body[pos];
         std::size_t len = 0;
         VariableKind kind = VariableKind::Number;
-        if (!isAlnum(prev) && isHex(c)) {
+        if (!prev_alnum && isHex(c)) {
             if ((len = matchUuid(body, pos)) > 0) {
                 kind = VariableKind::Uuid;
             } else if (isDigit(c)) {
                 // A dotted quad preceded by '.' is the tail of a longer
                 // dotted sequence ("1.2.3.4.5"), not an address.
-                if (prev != '.' && (len = matchIp(body, pos)) > 0) {
+                if (!prev_dot && (len = matchIp(body, pos)) > 0) {
                     kind = VariableKind::Ip;
                 } else if ((len = matchNumber(body, pos)) > 0) {
                     kind = VariableKind::Number;
@@ -146,6 +138,7 @@ VariableExtractor::parseInto(std::string_view body, ParsedBody &out) const
             }
         }
         if (len > 0) {
+            out.templateText.append(body.substr(literal, pos - literal));
             out.templateText += placeholder(kind);
             Variable &var = out.variables.emplace_back();
             var.kind = kind;
@@ -155,13 +148,24 @@ VariableExtractor::parseInto(std::string_view body, ParsedBody &out) const
             }
             var.text.assign(body.substr(pos, len));
             pos += len;
-            prev = '\0';
+            literal = pos;
+            // The byte right after a variable may start another match,
+            // as at the 'a' of "1.2.3.4abc".
+            prev_alnum = false;
+            prev_dot = false;
+        } else if (isAlnum(c)) {
+            do {
+                ++pos;
+            } while (pos < size && isAlnum(body[pos]));
+            prev_alnum = true;
+            prev_dot = false;
         } else {
-            out.templateText.push_back(c);
-            prev = c;
+            prev_alnum = false;
+            prev_dot = c == '.';
             ++pos;
         }
     }
+    out.templateText.append(body.substr(literal));
 }
 
 ParsedBody

@@ -94,10 +94,12 @@ using namespace cloudseer;
 
 /**
  * Allocations per line allowed once the monitor is warmed up. Measured
- * 0.81 (first monitor) and 0.46 (second) on this stream, down from 5.1
+ * 0.70 (first monitor) and 0.46 (second) on this stream, down from 5.1
  * and 4.7 before groups, identifier sets and their index entries were
- * recycled (DESIGN.md §19). What is left is the reports, newly interned
- * identifiers, and index entries for brand-new tokens. The headroom is
+ * recycled (DESIGN.md §19), and from 0.81 for the first monitor before
+ * the interner stored each identifier's text once (DESIGN.md §18).
+ * What is left is the reports, newly interned identifiers, and index
+ * entries for brand-new tokens. The headroom is
  * for standard-library differences: a new temporary per line would
  * exceed it.
  */

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include <set>
 #include <string>
 
+#include "common/char_class.hpp"
 #include "common/head_queue.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -402,6 +404,173 @@ TEST(TimeUtil, ParseRejectsGarbage)
     EXPECT_FALSE(parseTimestamp("not a time", out));
     EXPECT_FALSE(parseTimestamp("2017-01-12 00:00:00.000", out));
     EXPECT_FALSE(parseTimestamp("", out));
+}
+
+// --- the hand-written stamp code vs the stdio forms it replaced ----------
+
+namespace {
+
+/** The stamp parse as it stood: sscanf over the whole text. */
+bool
+referenceParse(const std::string &text, SimTime &out)
+{
+    int year = 0, month = 0, day = 0, hh = 0, mm = 0, ss = 0, millis = 0;
+    int n = std::sscanf(text.c_str(), "%d-%d-%d %d:%d:%d.%d", &year, &month,
+                        &day, &hh, &mm, &ss, &millis);
+    if (n != 7 || year != 2016 || month != 1 || day < 12)
+        return false;
+    out = (day - 12) * 86400.0 + hh * 3600.0 + mm * 60.0 + ss +
+          millis / 1000.0;
+    return true;
+}
+
+/** The stamp format as it stood: snprintf with seven "%d" fields. */
+std::string
+referenceFormat(SimTime t)
+{
+    if (t < 0)
+        t = 0;
+    long long whole = static_cast<long long>(std::floor(t));
+    int millis = static_cast<int>(std::llround((t - whole) * 1000.0));
+    if (millis >= 1000) {
+        millis -= 1000;
+        ++whole;
+    }
+    long long days = whole / 86400;
+    long long rem = whole % 86400;
+    char buf[64];
+    int len = std::snprintf(buf, sizeof(buf),
+                            "%04d-%02d-%02d %02d:%02d:%02d.%03d", 2016, 1,
+                            12 + static_cast<int>(days),
+                            static_cast<int>(rem / 3600),
+                            static_cast<int>((rem % 3600) / 60),
+                            static_cast<int>(rem % 60), millis);
+    return std::string(buf, static_cast<std::size_t>(len));
+}
+
+} // namespace
+
+TEST(CharClass, MatchesCctypeForEveryByte)
+{
+    for (int b = 0; b < 256; ++b) {
+        char c = static_cast<char>(b);
+        EXPECT_EQ(isDigit(c), std::isdigit(b) != 0) << b;
+        EXPECT_EQ(isHex(c), std::isxdigit(b) != 0) << b;
+        EXPECT_EQ(isAlpha(c), std::isalpha(b) != 0) << b;
+        EXPECT_EQ(isAlnum(c), std::isalnum(b) != 0) << b;
+        EXPECT_EQ(isSpace(c), std::isspace(b) != 0) << b;
+    }
+}
+
+TEST(TimeUtil, ParseMatchesSscanfReference)
+{
+    Rng rng(23);
+    std::vector<std::string> stamps = {
+        "2016-01-12 00:00:00.000", "2016-01-99 23:59:59.999",
+        "2016-01-12 00:00:00.00",  "2016-01-12 00:00:00.0000",
+        "2016-01-12 00:00:00",     "2016-01-12  00:00:00.000",
+        "2016-01-12\t00:00:00.000", "+2016-01-12 00:00:00.000",
+        "2016-01-12 -1:00:00.000", "2016-01-12 00:00:00.-01",
+        "2016-01-12 00:00:00.+01", "2016-01-12 00:00: 0.000",
+        "2016-01-12 00:00:00.000x", "2016-01-11 00:00:00.000",
+        "2016-01-12 99999999999:00:00.000", "0002016-01-12 00:00:00.000",
+        "2016-01-12 00:00:00.99999999999", " 2016-01-12 00:00:00.000",
+        "2016-1-12 0:0:0.0",       "2016-01-12 00:00:00,000",
+        "9999-99-99 99:99:99.999", "",
+    };
+    // A non-digit, a sign and a space at each digit slot of a stamp.
+    const std::string canonical = "2016-01-13 07:08:09.010";
+    for (std::size_t at = 0; at < canonical.size(); ++at) {
+        for (char c : {'x', '-', '+', ' ', '\t', '\0', '9', '\xb2'}) {
+            std::string s = canonical;
+            s[at] = c;
+            stamps.push_back(s);
+        }
+    }
+    for (int i = 0; i < 3000; ++i) {
+        SimTime t = rng.uniformReal(0.0, 40 * 86400.0);
+        std::string s = formatTimestamp(t);
+        stamps.push_back(s);
+        switch (rng.uniformInt(0, 5)) {
+          case 0: // 22 or 24 bytes
+            if (rng.chance(0.5))
+                s.pop_back();
+            else
+                s.insert(s.begin() + rng.uniformInt(0, 23),
+                         static_cast<char>('0' + rng.uniformInt(0, 9)));
+            break;
+          case 1: // a sign or whitespace somewhere
+            s.insert(s.begin() + rng.uniformInt(0, 23),
+                     " \t\n+-"[rng.uniformInt(0, 4)]);
+            break;
+          case 2: // a long digit run
+            s.insert(s.begin() + rng.uniformInt(0, 23),
+                     static_cast<std::size_t>(rng.uniformInt(5, 30)), '7');
+            break;
+          case 3: // any byte at any slot
+            s[static_cast<std::size_t>(rng.uniformInt(0, 22))] =
+                static_cast<char>(rng.uniformInt(1, 255));
+            break;
+          case 4: // truncated
+            s.resize(static_cast<std::size_t>(rng.uniformInt(0, 22)));
+            break;
+          default: // a long tail (past the stack copy)
+            s.append(static_cast<std::size_t>(rng.uniformInt(30, 90)), '1');
+            break;
+        }
+        stamps.push_back(s);
+    }
+    std::size_t accepted = 0;
+    for (const std::string &s : stamps) {
+        SimTime expected = -1, got = -1;
+        bool expected_ok = referenceParse(s, expected);
+        ASSERT_EQ(parseTimestamp(s, got), expected_ok) << s;
+        if (!expected_ok)
+            continue;
+        ++accepted;
+        EXPECT_EQ(std::memcmp(&got, &expected, sizeof(got)), 0) << s;
+    }
+    EXPECT_GT(accepted, stamps.size() / 2);
+    EXPECT_LT(accepted, stamps.size());
+}
+
+TEST(TimeUtil, AppendMatchesSnprintfReference)
+{
+    Rng rng(31);
+    std::vector<SimTime> times = {
+        0.0,      -0.0,    -1.0,         -1e9,   0.0004,      0.0005,
+        0.9994,   0.9995,  0.99951,      59.9995, 3599.9995,  86399.9995,
+        86400.0,  88 * 86400.0 - 0.0005, 88 * 86400.0,
+        987 * 86400.0 + 0.9995, 1e9 + 0.25, 123456.789,
+        // Day counts past INT_MAX wrap in the int conversion, so the
+        // day field prints negative ("%02d" of a negative value).
+        2147483648.0 * 86400.0, 4294967295.0 * 86400.0 + 3661.5,
+    };
+    for (int i = 0; i < 20000; ++i) {
+        switch (rng.uniformInt(0, 3)) {
+          case 0: // a real run's range
+            times.push_back(rng.uniformReal(0.0, 7 * 86400.0));
+            break;
+          case 1: // days of 100 and above
+            times.push_back(rng.uniformReal(0.0, 1e9));
+            break;
+          case 2: // at a millisecond's half-way point
+            times.push_back(rng.uniformInt(0, 2000000) / 1000.0 + 0.0005);
+            break;
+          default: // negatives clamp to 0
+            times.push_back(-rng.uniformReal(0.0, 1e6));
+            break;
+        }
+    }
+    std::string out = "prefix ";
+    for (SimTime t : times) {
+        out.resize(7);
+        appendTimestamp(t, out);
+        ASSERT_EQ(out.substr(7), referenceFormat(t)) << t;
+        ASSERT_EQ(formatTimestamp(t), referenceFormat(t)) << t;
+    }
+    EXPECT_EQ(formatTimestamp(88 * 86400.0), "2016-01-100 00:00:00.000");
+    EXPECT_EQ(formatTimestamp(0.9995), "2016-01-12 00:00:01.000");
 }
 
 TEST(SampleStats, EmptyIsZero)

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "logging/log_codec.hpp"
+#include "logging/log_level.hpp"
 #include "logging/template_catalog.hpp"
 #include "logging/variable_extractor.hpp"
 #include "sim/simulation.hpp"
@@ -386,4 +391,405 @@ TEST(ScratchCores, ParseIntoReusedScratchMatchesParse)
         }
     }
     EXPECT_GT(with_variables, corpus.size() / 4);
+}
+
+// --- the table-driven front end vs the <cctype> code it replaced ----------
+
+namespace reference {
+
+// Verbatim copy of the variable scanner as it stood before the class
+// table: one <cctype> call and one push_back per byte.
+
+bool
+isHex(char c)
+{
+    return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+}
+
+bool
+isDigit(char c)
+{
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
+}
+
+bool
+isAlnum(char c)
+{
+    return std::isalnum(static_cast<unsigned char>(c)) != 0;
+}
+
+std::size_t
+matchUuid(std::string_view s, std::size_t pos)
+{
+    static const int groups[5] = {8, 4, 4, 4, 12};
+    std::size_t p = pos;
+    for (int g = 0; g < 5; ++g) {
+        if (g > 0) {
+            if (p >= s.size() || s[p] != '-')
+                return 0;
+            ++p;
+        }
+        for (int i = 0; i < groups[g]; ++i, ++p) {
+            if (p >= s.size() || !isHex(s[p]))
+                return 0;
+        }
+    }
+    if (p < s.size() && (isAlnum(s[p]) || s[p] == '-'))
+        return 0;
+    return p - pos;
+}
+
+std::size_t
+matchIp(std::string_view s, std::size_t pos)
+{
+    std::size_t p = pos;
+    for (int octet = 0; octet < 4; ++octet) {
+        if (octet > 0) {
+            if (p >= s.size() || s[p] != '.')
+                return 0;
+            ++p;
+        }
+        int value = 0;
+        std::size_t digits = 0;
+        while (p < s.size() && isDigit(s[p]) && digits < 3) {
+            value = value * 10 + (s[p] - '0');
+            ++p;
+            ++digits;
+        }
+        if (digits == 0 || value > 255)
+            return 0;
+    }
+    if (p < s.size() && (isDigit(s[p]) || s[p] == '.'))
+        return 0;
+    return p - pos;
+}
+
+std::size_t
+matchNumber(std::string_view s, std::size_t pos)
+{
+    std::size_t p = pos;
+    while (p < s.size() && isDigit(s[p]))
+        ++p;
+    if (p == pos)
+        return 0;
+    if (p < s.size() && std::isalpha(static_cast<unsigned char>(s[p])))
+        return 0;
+    return p - pos;
+}
+
+ParsedBody
+parse(std::string_view body)
+{
+    ParsedBody out;
+    char prev = '\0';
+    std::size_t pos = 0;
+    while (pos < body.size()) {
+        char c = body[pos];
+        std::size_t len = 0;
+        VariableKind kind = VariableKind::Number;
+        if (!isAlnum(prev) && isHex(c)) {
+            if ((len = matchUuid(body, pos)) > 0) {
+                kind = VariableKind::Uuid;
+            } else if (isDigit(c)) {
+                if (prev != '.' && (len = matchIp(body, pos)) > 0) {
+                    kind = VariableKind::Ip;
+                } else if ((len = matchNumber(body, pos)) > 0) {
+                    kind = VariableKind::Number;
+                }
+            }
+        }
+        if (len > 0) {
+            out.templateText += VariableExtractor::placeholder(kind);
+            Variable &var = out.variables.emplace_back();
+            var.kind = kind;
+            var.text.assign(body.substr(pos, len));
+            pos += len;
+            prev = '\0';
+        } else {
+            out.templateText.push_back(c);
+            prev = c;
+            ++pos;
+        }
+    }
+    return out;
+}
+
+// The decoder as it stood before the whitespace table: std::isspace
+// token scanning and the sscanf timestamp parse.
+
+bool
+parseTimestamp(std::string_view text, double &out)
+{
+    std::string terminated(text);
+    int year = 0, month = 0, day = 0, hh = 0, mm = 0, ss = 0, millis = 0;
+    int n = std::sscanf(terminated.c_str(), "%d-%d-%d %d:%d:%d.%d", &year,
+                        &month, &day, &hh, &mm, &ss, &millis);
+    if (n != 7 || year != 2016 || month != 1 || day < 12)
+        return false;
+    out = (day - 12) * 86400.0 + hh * 3600.0 + mm * 60.0 + ss +
+          millis / 1000.0;
+    return true;
+}
+
+std::string_view
+takeToken(std::string_view line, std::size_t &pos)
+{
+    while (pos < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[pos]))) {
+        ++pos;
+    }
+    std::size_t start = pos;
+    while (pos < line.size() &&
+           !std::isspace(static_cast<unsigned char>(line[pos]))) {
+        ++pos;
+    }
+    return line.substr(start, pos - start);
+}
+
+DecodeFailure
+decode(std::string_view line, LogRecord &record)
+{
+    std::size_t pos = 0;
+    std::string_view date = takeToken(line, pos);
+    std::size_t date_start = pos - date.size();
+    std::string_view time = takeToken(line, pos);
+    if (date.empty() || time.empty())
+        return DecodeFailure::BadTimestamp;
+    if (!parseTimestamp(line.substr(date_start, pos - date_start),
+                        record.timestamp)) {
+        return DecodeFailure::BadTimestamp;
+    }
+    std::string_view node = takeToken(line, pos);
+    std::string_view service = takeToken(line, pos);
+    std::string_view level_text = takeToken(line, pos);
+    if (node.empty())
+        return DecodeFailure::BadHeader;
+    if (service.empty() || level_text.empty())
+        return DecodeFailure::TruncatedPayload;
+    if (!parseLogLevel(level_text, record.level))
+        return DecodeFailure::BadHeader;
+    while (pos < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[pos]))) {
+        ++pos;
+    }
+    if (pos == line.size())
+        return DecodeFailure::TruncatedPayload;
+    record.node.assign(node);
+    record.service.assign(service);
+    record.body.assign(line.substr(pos));
+    return DecodeFailure::None;
+}
+
+} // namespace reference
+
+namespace {
+
+/** Bytes a mutation writes: the ones the scanner's classes turn on. */
+char
+scannerByte(cloudseer::common::Rng &rng)
+{
+    static const char kPool[] = "0123456789abcdefABCDEFgzGZ.-:/_ ";
+    switch (rng.uniformInt(0, 3)) {
+      case 0: // a byte >= 0x80: in no class under the "C" locale
+        return static_cast<char>(rng.uniformInt(0x80, 0xff));
+      case 1: // any byte at all
+        return static_cast<char>(rng.uniformInt(0, 255));
+      default:
+        return kPool[rng.uniformInt(0, sizeof(kPool) - 2)];
+    }
+}
+
+/**
+ * Simulator bodies, hand-written edge cases around every match rule,
+ * and at least 4,000 seeded mutants of them: digit/hex/'.'/'-' flips,
+ * high bytes, splices and truncations.
+ */
+std::vector<std::string>
+scannerCorpus()
+{
+    std::vector<std::string> bodies = {
+        "",
+        "1.2.3.4abc",
+        "1.2.3.4.5",
+        "x.1.2.3.4 y",
+        "256.1.1.1",
+        "1234.5.6.7",
+        "01.002.3.255",
+        "v2 eth0 42 42x x42",
+        "12345678-1234-1234-1234-123456789abc",
+        "12345678-1234-1234-1234-123456789ABCdef",
+        "12345678-1234-1234-1234-123456789abc-",
+        "12345678-1234-1234-1234-123456789ab",
+        "g2345678-1234-1234-1234-123456789abc",
+        "a12345678-1234-1234-1234-123456789abc",
+        "-12345678-1234-1234-1234-123456789abc.",
+        "\x80" "12 \xff" "1.2.3.4 \xe9" "abc 7\xc3\xa9",
+        "req-12345678-1234-1234-1234-123456789abc done",
+        "dead beef 10.0.0.1:8774 /v2/9 200 0.123",
+    };
+    cloudseer::sim::Simulation simulation(cloudseer::sim::SimConfig{}, 17);
+    cloudseer::workload::WorkloadConfig workload;
+    workload.users = 2;
+    workload.tasksPerUser = 4;
+    workload.seed = 17;
+    cloudseer::workload::WorkloadGenerator(workload).submitAll(simulation);
+    simulation.run();
+    for (const LogRecord &record : simulation.records())
+        bodies.push_back(record.body);
+
+    cloudseer::common::Rng rng(4242);
+    const int golden = static_cast<int>(bodies.size());
+    for (int round = 0; round < 6000; ++round) {
+        std::string body = bodies[static_cast<std::size_t>(
+            rng.uniformInt(0, golden - 1))];
+        switch (rng.uniformInt(0, 3)) {
+          case 0: // truncate
+            body.resize(static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(body.size()))));
+            break;
+          case 1: // flip bytes
+          case 2:
+            for (int flips = rng.uniformInt(1, 4);
+                 flips > 0 && !body.empty(); --flips) {
+                body[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<int>(body.size()) - 1))] =
+                    scannerByte(rng);
+            }
+            break;
+          default: { // splice the head of one onto the tail of another
+            const std::string &other = bodies[static_cast<std::size_t>(
+                rng.uniformInt(0, golden - 1))];
+            std::size_t cut = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(body.size())));
+            std::size_t from = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(other.size())));
+            body = body.substr(0, cut) + other.substr(from);
+            break;
+          }
+        }
+        bodies.push_back(std::move(body));
+    }
+    return bodies;
+}
+
+} // namespace
+
+TEST(FrontEnd, ScannerMatchesCctypeReference)
+{
+    const std::vector<std::string> corpus = scannerCorpus();
+    ASSERT_GE(corpus.size(), 4000u);
+    ParsedBody reused;
+    std::size_t uuids = 0, ips = 0, numbers = 0;
+    for (const std::string &body : corpus) {
+        ParsedBody expected = reference::parse(body);
+        kExtractor.parseInto(body, reused);
+        ASSERT_EQ(reused.templateText, expected.templateText) << body;
+        ASSERT_EQ(reused.variables, expected.variables) << body;
+        for (const Variable &var : expected.variables) {
+            uuids += var.kind == VariableKind::Uuid ? 1 : 0;
+            ips += var.kind == VariableKind::Ip ? 1 : 0;
+            numbers += var.kind == VariableKind::Number ? 1 : 0;
+        }
+    }
+    // Every variable kind is exercised, not just one.
+    EXPECT_GT(uuids, 1000u);
+    EXPECT_GT(ips, 100u);
+    EXPECT_GT(numbers, 100u);
+}
+
+TEST(FrontEnd, DecodeMatchesIsspaceReferenceFieldByField)
+{
+    std::vector<std::string> corpus = wireCorpus();
+    // Every C-locale whitespace byte as a separator, plus look-alikes
+    // that are not whitespace there (0x85 NEL, 0xa0 NBSP).
+    static const char kGaps[] = {' ', '\t', '\n', '\v', '\f', '\r',
+                                 '\x85', '\xa0', '\x1c'};
+    cloudseer::common::Rng rng(77);
+    const std::size_t golden = corpus.size();
+    for (int round = 0; round < 4000; ++round) {
+        std::string line = corpus[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(golden) - 1))];
+        for (char &c : line) {
+            if ((c == ' ' || c == '\t') && rng.chance(0.5))
+                c = kGaps[rng.uniformInt(0, sizeof(kGaps) - 1)];
+        }
+        if (rng.chance(0.3)) {
+            std::size_t at = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(line.size())));
+            line.insert(at, static_cast<std::size_t>(rng.uniformInt(1, 3)),
+                        kGaps[rng.uniformInt(0, 5)]);
+        }
+        corpus.push_back(std::move(line));
+    }
+
+    LogRecord got;
+    std::size_t decoded = 0;
+    for (const std::string &line : corpus) {
+        LogRecord expected;
+        DecodeFailure expected_why = reference::decode(line, expected);
+        DecodeFailure why = DecodeFailure::BadHeader;
+        bool ok = decodeLogLineInto(line, got, &why);
+        ASSERT_EQ(why, expected_why) << line;
+        ASSERT_EQ(ok, expected_why == DecodeFailure::None) << line;
+        if (!ok)
+            continue;
+        ++decoded;
+        EXPECT_EQ(std::memcmp(&got.timestamp, &expected.timestamp,
+                              sizeof(got.timestamp)),
+                  0)
+            << line;
+        EXPECT_EQ(got.node, expected.node) << line;
+        EXPECT_EQ(got.service, expected.service) << line;
+        EXPECT_EQ(got.level, expected.level) << line;
+        EXPECT_EQ(got.body, expected.body) << line;
+    }
+    EXPECT_GT(decoded, corpus.size() / 4);
+    EXPECT_LT(decoded, corpus.size());
+}
+
+TEST(FrontEnd, CatalogIdsFollowInsertionOrder)
+{
+    // Services and texts that share bytes, swap roles, hold the old
+    // joined key's separator, and repeat.
+    std::vector<std::pair<std::string, std::string>> pairs;
+    cloudseer::common::Rng rng(5);
+    static const char *kServices[] = {"nova-api", "nova-compute", "glance",
+                                      "keystone", "", "a\x1f" "b"};
+    for (int i = 0; i < 3000; ++i) {
+        std::string service = kServices[rng.uniformInt(0, 5)];
+        std::string text = "step <uuid> " +
+                           std::to_string(rng.uniformInt(0, 400));
+        if (rng.chance(0.1))
+            std::swap(service, text);
+        pairs.emplace_back(std::move(service), std::move(text));
+    }
+    TemplateCatalog catalog;
+    std::vector<std::pair<std::string, std::string>> order;
+    for (const auto &[service, text] : pairs) {
+        TemplateId expected = kInvalidTemplate;
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            if (order[i].first == service && order[i].second == text)
+                expected = static_cast<TemplateId>(i);
+        }
+        EXPECT_EQ(catalog.find(service, text), expected);
+        if (expected == kInvalidTemplate) {
+            expected = static_cast<TemplateId>(order.size());
+            order.emplace_back(service, text);
+        }
+        ASSERT_EQ(catalog.intern(service, text), expected);
+    }
+    ASSERT_EQ(catalog.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        TemplateId id = static_cast<TemplateId>(i);
+        EXPECT_EQ(catalog.service(id), order[i].first);
+        EXPECT_EQ(catalog.text(id), order[i].second);
+        EXPECT_EQ(catalog.find(order[i].first, order[i].second), id);
+    }
+    // Fields are compared whole, never as one joined string.
+    EXPECT_NE(catalog.intern("a", "b\x1f" "c"),
+              catalog.intern("a\x1f" "b", "c"));
+    // A copy answers like the original.
+    TemplateCatalog copy = catalog;
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(copy.find(order[i].first, order[i].second), i);
 }
