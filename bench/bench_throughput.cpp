@@ -78,16 +78,6 @@
  * artifact and `seer_prof`. --profile-hz overrides the overhead
  * rate.
  *
- * With --threads N, a sharded path (seer-swarm, DESIGN.md §14) joins
- * the sweep: shard counts {1, 2, 4, 8} up to N (plus N itself), each
- * driving the pipelined submitFeed surface of ShardedChecker over the
- * identical schedule. Each level reports per-count rates and the
- * scaling ratio of the best sharded rate over the serial indexed
- * path. The sharded event stream is digested after each timed run and
- * compared against a serial reference digest — any divergence is a
- * hard failure (exit 1), which makes bit-identity of the concurrent
- * engine a CI invariant, not a test-suite-only property.
- *
  * Every level reports its wall-clock cost, warm-up size and rep
  * count: the scan/indexed pair is measured best-of-three in paired
  * alternation (like --vault) after an untimed warm-up pass, so the
@@ -97,7 +87,7 @@
  * Usage: bench_throughput [--smoke] [--check <baseline.json>]
  *                         [--out <path>] [--obs] [--flight] [--vault]
  *                         [--pulse] [--profile] [--profile-hz N]
- *                         [--profile-out <prefix>] [--threads N]
+ *                         [--profile-out <prefix>]
  *                         [--trace-out <trace.json>]
  *        bench_throughput --pulse-port P [--pulse-port-file <path>]
  *                         [--pulse-serve-seconds S]
@@ -122,7 +112,6 @@
 #include "common/stats.hpp"
 #include "common/uuid.hpp"
 #include "core/checker/interleaved_checker.hpp"
-#include "core/checker/sharded_checker.hpp"
 #include "core/mining/latency_profile.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "logging/identifier_interner.hpp"
@@ -341,8 +330,8 @@ runPath(const core::TaskAutomaton &automaton,
  * Order-sensitive FNV-1a digest over everything a check event carries
  * (kind, task, candidates, records, frontier, expected, time, group).
  * Two event streams digest equal iff they are byte-identical in
- * content and order — the property the sharded engine guarantees and
- * this bench gates in CI.
+ * content and order — the property every instrumented or fast path
+ * this bench times must keep, gated here against serialReference.
  */
 std::uint64_t
 digestEvents(const std::vector<core::CheckEvent> &events)
@@ -382,47 +371,7 @@ digestEvents(const std::vector<core::CheckEvent> &events)
 }
 
 /**
- * One timed pass of the sharded engine (seer-swarm) over the same
- * schedule: every message through the pipelined submitFeed surface,
- * one blocking flush at the end. Per-message latency is not reported
- * (submitFeed returns before the check runs — that is the point);
- * the event-stream digest is computed after the clock stops so the
- * identity gate costs the rate nothing.
- */
-PathResult
-runShardedPath(const core::TaskAutomaton &automaton,
-               const std::vector<core::CheckMessage> &schedule,
-               int num_shards, std::uint64_t &digest_out)
-{
-    core::CheckerConfig config;
-    config.routingIndex = true;
-    core::ShardedCheckerConfig swarm;
-    swarm.numShards = static_cast<std::size_t>(num_shards);
-    swarm.ringCapacity = 1024;
-    core::ShardedChecker checker(config, {&automaton}, swarm);
-
-    std::vector<core::CheckEvent> events;
-    events.reserve(schedule.size() / 4 + 16);
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point start = Clock::now();
-    for (const core::CheckMessage &message : schedule)
-        checker.submitFeed(message);
-    checker.flush(events);
-    double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-
-    PathResult out;
-    out.mps = elapsed > 0.0
-                  ? static_cast<double>(schedule.size()) / elapsed
-                  : 0.0;
-    out.accepted = checker.stats().accepted;
-    digest_out = digestEvents(events);
-    checker.finish(schedule.empty() ? 0.0 : schedule.back().time + 1.0);
-    return out;
-}
-
-/**
- * The serial reference the sharded paths are gated against: an
+ * The reference the instrumented and fast paths are gated against: an
  * untimed indexed pass that keeps its feed events. Returns the digest
  * and the accepted count through the out-parameters.
  */
@@ -610,21 +559,9 @@ struct LevelResult
     double vaultCheckpointMs = 0.0; ///< one full snapshot, timed alone
     std::uint64_t vaultCheckpointBytes = 0;
 
-    /** Sharded path per shard count (--threads): {threads, best-of}. */
-    std::vector<std::pair<int, PathResult>> sharded;
     double wallClockS = 0.0;  ///< everything this level cost, timed
     int warmupMessages = 0;   ///< untimed prefix run before the reps
     int reps = 0;             ///< paired alternating timed repetitions
-
-    /** Best sharded rate over the serial indexed rate (--threads). */
-    double
-    shardedScaling() const
-    {
-        double best = 0.0;
-        for (const auto &[threads, result] : sharded)
-            best = std::max(best, result.mps);
-        return indexed.mps > 0.0 ? best / indexed.mps : 0.0;
-    }
 
     double
     speedup() const
@@ -797,17 +734,6 @@ toJson(const std::vector<LevelResult> &levels, bool smoke)
                 << level.proveBase.mps
                 << ",\n     \"prove_speedup\": "
                 << level.proveSpeedup();
-        }
-        if (!level.sharded.empty()) {
-            out << ",\n     \"sharded\": [";
-            for (std::size_t s = 0; s < level.sharded.size(); ++s) {
-                const auto &[threads, result] = level.sharded[s];
-                out << (s == 0 ? "" : ", ") << "{\"threads\": "
-                    << threads << ", \"mps\": " << result.mps << "}";
-            }
-            out << "]"
-                << ",\n     \"sharded_scaling\": "
-                << level.shardedScaling();
         }
         out << ",\n     \"wall_clock_s\": " << level.wallClockS
             << ", \"warmup_messages\": " << level.warmupMessages
@@ -1041,7 +967,6 @@ main(int argc, char **argv)
     std::string profile_out; // artifact prefix (.json / .folded)
     bool serve_mode = false;
     PulseServeOptions serve;
-    int threads_max = 0; // 0 = no sharded paths
     std::string check_path;
     std::string out_path = "BENCH_throughput.json";
     std::string trace_path;
@@ -1092,13 +1017,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--pulse-alert-log") == 0 &&
                    i + 1 < argc) {
             serve.alertLog = argv[++i];
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            threads_max = std::atoi(argv[++i]);
-            if (threads_max < 1) {
-                std::fprintf(stderr, "--threads wants a count >= 1\n");
-                return 2;
-            }
         } else if (std::strcmp(argv[i], "--check") == 0 &&
                    i + 1 < argc) {
             check_path = argv[++i];
@@ -1114,7 +1032,7 @@ main(int argc, char **argv)
                          "[--out path] [--obs] [--flight] [--vault] "
                          "[--prove] [--pulse] [--profile] "
                          "[--profile-hz N] [--profile-out prefix] "
-                         "[--threads N] [--trace-out path]\n"
+                         "[--trace-out path]\n"
                          "   or: %s --pulse-port P "
                          "[--pulse-port-file path] "
                          "[--pulse-serve-seconds S] "
@@ -1127,19 +1045,6 @@ main(int argc, char **argv)
     }
     if (serve_mode)
         return runPulseServe(serve);
-
-    // Shard counts for the --threads sweep: the canonical 1/2/4/8
-    // scaling curve up to the requested maximum, always including the
-    // maximum itself (so --threads 4 in CI measures exactly 1/2/4).
-    std::vector<int> thread_counts;
-    if (threads_max > 0) {
-        for (int count : {1, 2, 4, 8})
-            if (count <= threads_max)
-                thread_counts.push_back(count);
-        if (thread_counts.empty() ||
-            thread_counts.back() != threads_max)
-            thread_counts.push_back(threads_max);
-    }
 
     logging::TemplateCatalog catalog;
     core::TaskAutomaton automaton = chainAutomaton(catalog);
@@ -1548,46 +1453,6 @@ main(int argc, char **argv)
                 }
             }
         }
-        if (threads_max > 0) {
-            // Serial reference digest for the bit-identity gate, from
-            // an untimed pass that keeps its events.
-            std::uint64_t ref_digest = 0;
-            std::uint64_t ref_accepted = 0;
-            serialReference(automaton, schedule, ref_digest,
-                            ref_accepted);
-            for (int count : thread_counts) {
-                PathResult best;
-                for (int rep = 0; rep < level.reps; ++rep) {
-                    std::uint64_t digest = 0;
-                    PathResult run = runShardedPath(
-                        automaton, schedule, count, digest);
-                    // Every rep is gated, not just the kept one: a
-                    // divergence that shows up on one interleaving in
-                    // three is exactly the bug this exists to catch.
-                    if (digest != ref_digest ||
-                        run.accepted != ref_accepted) {
-                        std::fprintf(
-                            stderr,
-                            "FAIL: sharded path (%d shards) diverged "
-                            "from serial at %d in-flight (accepted "
-                            "%llu vs %llu, digest %016llx vs "
-                            "%016llx)\n",
-                            count, inflight,
-                            static_cast<unsigned long long>(
-                                run.accepted),
-                            static_cast<unsigned long long>(
-                                ref_accepted),
-                            static_cast<unsigned long long>(digest),
-                            static_cast<unsigned long long>(
-                                ref_digest));
-                        return 1;
-                    }
-                    if (run.mps > best.mps)
-                        best = run;
-                }
-                level.sharded.emplace_back(count, best);
-            }
-        }
         std::printf("  %-9d %-10d %-12.0f %-12.0f %-12.1f %-12.1f "
                     "%-8.2f\n",
                     level.inflight, level.messages, level.indexed.mps,
@@ -1691,15 +1556,6 @@ main(int argc, char **argv)
                         "(%.2fx vs paired %.0f mps, bit-identical)\n",
                         inflight, level.proved.mps,
                         level.proveSpeedup(), level.proveBase.mps);
-        }
-        for (const auto &[count, result] : level.sharded) {
-            std::printf("  sharded: %-d in-flight, %d shard%s "
-                        "%.0f mps (%.2fx serial, bit-identical)\n",
-                        inflight, count, count == 1 ? "" : "s",
-                        result.mps,
-                        level.indexed.mps > 0.0
-                            ? result.mps / level.indexed.mps
-                            : 0.0);
         }
         level.wallClockS =
             std::chrono::duration<double>(

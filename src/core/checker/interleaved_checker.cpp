@@ -304,8 +304,8 @@ InterleavedChecker::equivalencePickIndex(std::size_t pool_size)
 {
     // splitmix64 finalizer over (seed, record, draw ordinal): stateless,
     // so the choice depends only on the message, never on how many
-    // draws happened before it — the property the sharded engine
-    // (DESIGN.md §14) relies on to reproduce serial picks.
+    // draws happened before it, and a restored checker picks as the
+    // uninterrupted one does.
     std::uint64_t x = config.seed;
     x ^= 0x9e3779b97f4a7c15ULL * (currentRecord + 1);
     x += 0xbf58476d1ce4e5b9ULL * (static_cast<std::uint64_t>(pickSalt++) + 1);
@@ -495,8 +495,6 @@ InterleavedChecker::findOrCreateIdSet(
         }
     }
     std::uint64_t set_id = nextIdSetId++;
-    if (setBirths != nullptr)
-        setBirths->push_back(set_id);
     CS_ASSERT(!idsets.count(set_id), "identifier-set id collision");
     auto pos = insertRecycled(idsets, set_id, spareIdSets);
     pos->second.ids.assign(sorted_unique);
@@ -817,13 +815,7 @@ InterleavedChecker::feed(const CheckMessage &message)
 {
     // seer-probe: Algorithm 2 samples as "check" even when this
     // engine is driven directly (bench paths), not via the monitor.
-    // Inside a shard worker the per-shard lane wins — re-assert it so
-    // shard attribution survives this nested scope.
-    const bool in_shard =
-        obs::currentProfStage() == obs::ProfStage::ShardCheck;
-    obs::StageScope profScope(in_shard ? obs::ProfStage::ShardCheck
-                                       : obs::ProfStage::Check,
-                              in_shard ? obs::currentProfShard() : 0);
+    obs::StageScope profScope(obs::ProfStage::Check);
     std::vector<CheckEvent> events;
     ++counters.messages;
     traceNow = message.time;
@@ -918,8 +910,6 @@ InterleavedChecker::feed(const CheckMessage &message)
         IdentifierSet &pooled = contentsScratch;
         pooled.clear();
         std::uint64_t rival_set = nextRivalSet++;
-        if (rivalBirths != nullptr)
-            ++*rivalBirths;
         std::vector<GroupId> &touched = touchedScratch;
         touched.clear();
         for (GroupId gid : gids) {
@@ -933,8 +923,6 @@ InterleavedChecker::feed(const CheckMessage &message)
         members.reserve(members.size() + gids.size());
         for (GroupId gid : gids) {
             GroupId clone_id = nextGroupId++;
-            if (groupBirths != nullptr)
-                groupBirths->push_back(clone_id);
             AutomatonGroup &clone = insertGroup(clone_id);
             AutomatonGroup &source = groups.at(gid);
             source.cloneInto(clone, clone_id, message.tpl);
@@ -991,8 +979,6 @@ InterleavedChecker::feed(const CheckMessage &message)
             startersByTemplate[message.tpl];
         if (!starters.empty()) {
             const GroupId gid = nextGroupId++;
-            if (groupBirths != nullptr)
-                groupBirths->push_back(gid);
             AutomatonGroup &fresh = insertGroup(gid);
             fresh.reset(gid, starters);
             ++counters.recoveredNewSequence;
@@ -1584,109 +1570,6 @@ InterleavedChecker::restoreState(common::BinReader &in)
     nextRivalSet = in.readU64();
     maxResolvedTimeout = in.readF64();
     return in.ok();
-}
-
-void
-InterleavedChecker::renumber(
-    const std::unordered_map<GroupId, GroupId> &gid_map,
-    const std::unordered_map<std::uint64_t, std::uint64_t> &set_map,
-    const std::unordered_map<std::uint64_t, std::uint64_t> &rival_map)
-{
-    auto mapped = [](const auto &map, std::uint64_t id) {
-        auto it = map.find(id);
-        return it == map.end() ? id : it->second;
-    };
-    auto gid_fn = [&](GroupId gid) { return mapped(gid_map, gid); };
-    auto rival_fn = [&](std::uint64_t rival) {
-        return mapped(rival_map, rival);
-    };
-
-    // Both consolidation (local → serial) and split (serial → local)
-    // maps are order-preserving over the ids they cover (DESIGN.md
-    // §14), so rebuilding the ordered maps keeps every member list's
-    // relative order and every gid comparison's outcome.
-    std::map<GroupId, AutomatonGroup> new_groups;
-    for (auto &[gid, group] : groups) {
-        group.renumberIds(gid_fn, rival_fn);
-        GroupId new_gid = group.id();
-        auto [pos, inserted] = new_groups.emplace(new_gid,
-                                                  std::move(group));
-        (void)pos;
-        CS_ASSERT(inserted, "renumber gid collision");
-    }
-    groups = std::move(new_groups);
-
-    std::map<std::uint64_t, IdSetEntry> new_idsets;
-    for (auto &[set_id, entry] : idsets) {
-        for (GroupId &gid : entry.groupIds)
-            gid = gid_fn(gid);
-        auto [pos, inserted] = new_idsets.emplace(
-            mapped(set_map, set_id), std::move(entry));
-        (void)pos;
-        CS_ASSERT(inserted, "renumber set-id collision");
-    }
-    idsets = std::move(new_idsets);
-
-    std::map<GroupId, std::uint64_t> new_relation;
-    for (const auto &[gid, set_id] : groupToSet)
-        new_relation[gid_fn(gid)] = mapped(set_map, set_id);
-    groupToSet = std::move(new_relation);
-
-    // Derived index: rebuild in ascending new-set-id order, same as a
-    // restore — selection sorts candidates by set id, so posting-list
-    // order is unobservable.
-    postings.clear();
-    setsByContents.clear();
-    for (const auto &[set_id, entry] : idsets)
-        indexAddSet(set_id, entry);
-}
-
-void
-InterleavedChecker::moveGroupsInto(InterleavedChecker &target,
-                                   const std::vector<GroupId> &gids)
-{
-    std::vector<std::uint64_t> moved_sets;
-    for (GroupId gid : gids) {
-        auto rel = groupToSet.find(gid);
-        CS_ASSERT(rel != groupToSet.end(), "moving unknown group");
-        moved_sets.push_back(rel->second);
-    }
-    std::sort(moved_sets.begin(), moved_sets.end());
-    moved_sets.erase(std::unique(moved_sets.begin(), moved_sets.end()),
-                     moved_sets.end());
-
-    // Component closure: a set travels with *all* its member groups,
-    // or gid-order comparisons on the stay-behind members would
-    // diverge from serial.
-    for (std::uint64_t set_id : moved_sets) {
-        const IdSetEntry &entry = idsets.at(set_id);
-        for (GroupId member : entry.groupIds) {
-            CS_ASSERT(std::find(gids.begin(), gids.end(), member) !=
-                          gids.end(),
-                      "moveGroupsInto would split an identifier set");
-        }
-    }
-
-    for (std::uint64_t set_id : moved_sets) {
-        auto it = idsets.find(set_id);
-        indexRemoveSet(set_id, it->second);
-        auto [pos, inserted] =
-            target.idsets.emplace(set_id, std::move(it->second));
-        CS_ASSERT(inserted, "moveGroupsInto set-id collision");
-        target.indexAddSet(set_id, pos->second);
-        idsets.erase(it);
-    }
-    for (GroupId gid : gids) {
-        auto git = groups.find(gid);
-        CS_ASSERT(git != groups.end(), "moving unknown group");
-        bool inserted =
-            target.groups.emplace(gid, std::move(git->second)).second;
-        CS_ASSERT(inserted, "moveGroupsInto gid collision");
-        groups.erase(git);
-        auto rel = groupToSet.find(gid);
-        target.groupToSet[gid] = rel->second;
-        groupToSet.erase(rel);
-    }
 }
 
 } // namespace cloudseer::core

@@ -30,12 +30,14 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/binio.hpp"
+#include "common/time_util.hpp"
 #include "core/automaton/refinement.hpp"
-#include "core/checker/base_checker.hpp"
 #include "core/checker/check_types.hpp"
 #include "core/mining/latency_profile.hpp"
 #include "obs/trace.hpp"
@@ -87,10 +89,10 @@ struct CheckerConfig
     /**
      * Seed for the random-selection heuristic among equivalents. The
      * pick is a pure hash of (seed, record id, draw ordinal) — no
-     * generator state survives between messages — so any engine that
+     * generator state survives between messages — so a checker that
      * sees the same message over the same candidate pool makes the
-     * same choice. This is what lets the sharded engine (DESIGN.md
-     * §14) reproduce serial decisions without sharing an RNG.
+     * same choice: one restored from a checkpoint draws exactly as
+     * the uninterrupted one, with no generator state to persist.
      */
     std::uint64_t seed = 42;
 };
@@ -104,8 +106,8 @@ struct CheckerConfig
 std::uint64_t
 modelFingerprint(const std::vector<const TaskAutomaton *> &automata);
 
-/** The online checking engine (the serial reference backend). */
-class InterleavedChecker : public BaseChecker
+/** The online checking engine. */
+class InterleavedChecker
 {
   public:
     /**
@@ -119,9 +121,14 @@ class InterleavedChecker : public BaseChecker
      * Process one message (Algorithm 2). Returns any accepted or
      * erroneous instances this message resolved.
      */
-    std::vector<CheckEvent> feed(const CheckMessage &message) override;
+    std::vector<CheckEvent> feed(const CheckMessage &message);
 
-    using TimeoutResolver = BaseChecker::TimeoutResolver;
+    /**
+     * Resolves the timeout for a group from the task names it still
+     * tracks (per-task timeouts from the estimator, or a constant).
+     */
+    using TimeoutResolver =
+        std::function<double(const std::vector<std::string> &)>;
 
     /**
      * Timeout criterion: report groups that consumed nothing within
@@ -133,7 +140,7 @@ class InterleavedChecker : public BaseChecker
     /** Timeout criterion with a per-group timeout resolver. */
     std::vector<CheckEvent>
     sweepTimeouts(common::SimTime now,
-                  const TimeoutResolver &resolver) override;
+                  const TimeoutResolver &resolver);
 
     /**
      * Load shedding: evict groups until at most `cap` remain, each
@@ -145,7 +152,7 @@ class InterleavedChecker : public BaseChecker
      * problem reports.
      */
     std::vector<CheckEvent> shedToCap(std::size_t cap,
-                                      common::SimTime now) override;
+                                      common::SimTime now);
 
     /**
      * Memory ceiling (seer-vault, DESIGN.md §13): evict
@@ -157,7 +164,7 @@ class InterleavedChecker : public BaseChecker
      * rather than thrashing. No-op when max_bytes is 0 (no ceiling).
      */
     std::vector<CheckEvent> shedToMemory(std::size_t max_bytes,
-                                         common::SimTime now) override;
+                                         common::SimTime now);
 
     /**
      * Deterministic estimate of checker state size in bytes, computed
@@ -165,7 +172,7 @@ class InterleavedChecker : public BaseChecker
      * signatures) are excluded so a restored checker and the
      * uninterrupted one make identical eviction decisions.
      */
-    std::size_t approxRetainedBytes() const override;
+    std::size_t approxRetainedBytes() const;
 
     /**
      * Serialise the full checking state (seer-vault, DESIGN.md §13):
@@ -177,26 +184,19 @@ class InterleavedChecker : public BaseChecker
      */
     void saveState(common::BinWriter &out) const;
 
-    /** BaseChecker adapter for the const overload above. */
-    void saveState(common::BinWriter &out) override
-    {
-        const InterleavedChecker &self = *this;
-        self.saveState(out);
-    }
-
     /**
      * Overwrite this checker from a saveState image taken against an
      * identical automaton vector (guard with modelFingerprint before
      * calling). On failure the stream is marked bad and the checker is
      * left cleared — construct a fresh one rather than continuing.
      */
-    bool restoreState(common::BinReader &in) override;
+    bool restoreState(common::BinReader &in);
 
     /**
      * Dependency-removal tallies accumulated by recovery (d) — the
      * input to refineFromRemovals (model-refinement feedback loop).
      */
-    const RemovalCounts &dependencyRemovals() const override
+    const RemovalCounts &dependencyRemovals() const
     {
         return removalCounts;
     }
@@ -205,21 +205,16 @@ class InterleavedChecker : public BaseChecker
      * End of stream: every remaining unaccepted group is reported as a
      * timeout (it never completed) and the state is cleared.
      */
-    std::vector<CheckEvent> finish(common::SimTime now) override;
+    std::vector<CheckEvent> finish(common::SimTime now);
 
     /** Counters. */
-    const CheckerStats &stats() const override { return counters; }
+    const CheckerStats &stats() const { return counters; }
 
     /** Groups currently tracked. */
-    std::size_t activeGroups() const override { return groups.size(); }
+    std::size_t activeGroups() const { return groups.size(); }
 
     /** Identifier sets currently tracked. */
-    std::size_t activeIdentifierSets() const override
-    {
-        return idsets.size();
-    }
-
-    const char *engineName() const override { return "serial"; }
+    std::size_t activeIdentifierSets() const { return idsets.size(); }
 
     /**
      * Posting list of a token (id-set ids containing it), or nullptr
@@ -247,7 +242,7 @@ class InterleavedChecker : public BaseChecker
      * (the default) is the null sink — every hook below is a single
      * pointer test and the checker behaves bit-identically.
      */
-    void setTracer(obs::ExecutionTracer *tracer_) override
+    void setTracer(obs::ExecutionTracer *tracer_)
     {
         tracer = tracer_;
     }
@@ -262,33 +257,27 @@ class InterleavedChecker : public BaseChecker
      * policy and restores bit-identical pre-flight behaviour.
      */
     void setLatencyPolicy(const std::vector<LatencyProfile> &profiles,
-                          const LatencyCheckConfig &policy = {}) override;
+                          const LatencyCheckConfig &policy = {});
 
     /** True when a latency policy with at least one profile is set. */
     bool latencyPolicyActive() const { return !latencyProfiles.empty(); }
 
     /**
-     * Install the seer-prove fast-path bitmap (DESIGN.md §15).
-     * Configuration, not checker state: saveState images never carry
-     * it and restoreState leaves it in place, mirroring the latency
-     * policy's lifecycle.
+     * Install the seer-prove certified-unambiguous template bitmap
+     * (DESIGN.md §15), indexed by TemplateId. Messages of certified
+     * templates take provably equivalent shortcut paths through
+     * Algorithm 2's selection, rekeying, and lineage pruning; reports
+     * stay bit-identical either way. An empty bitmap (the default)
+     * disables the fast path entirely. Configuration, not checker
+     * state: saveState images never carry it and restoreState leaves
+     * it in place, mirroring the latency policy's lifecycle.
      */
-    void setCertifiedTemplates(std::vector<char> certified) override;
+    void setCertifiedTemplates(std::vector<char> certified);
 
     /** Number of certified templates currently installed. */
     std::size_t certifiedTemplateCount() const;
 
   private:
-    /**
-     * The sharded engine (DESIGN.md §14) owns one serial checker per
-     * shard and needs surgical access for consolidation and split:
-     * renumbering ids, moving whole identifier components between
-     * instances, and reading/merging counters. Friendship keeps that
-     * surgery out of the public surface — it is only sound under the
-     * sharded engine's quiesce protocol.
-     */
-    friend class ShardedChecker;
-
     struct IdSetEntry
     {
         IdentifierSet ids;
@@ -468,67 +457,6 @@ class InterleavedChecker : public BaseChecker
 
     /** Largest timeout handed out so far (zombie-expiry horizon). */
     double maxResolvedTimeout = 0.0;
-
-    // --- seer-swarm shard support (DESIGN.md §14) ---------------------
-
-    /**
-     * Birth logs: when attached by the sharded engine, every freshly
-     * allocated group id / identifier-set id is appended (in
-     * allocation order) and every rival-set allocation counted, so
-     * the merge thread can mirror serial's global id sequence without
-     * inspecting checker internals per message. Null by default (the
-     * serial engine pays one pointer test per allocation).
-     */
-    std::vector<GroupId> *groupBirths = nullptr;
-    std::vector<std::uint64_t> *setBirths = nullptr;
-    std::uint64_t *rivalBirths = nullptr;
-
-    /** Attach or detach (nullptr) the birth logs. */
-    void
-    setBirthLogs(std::vector<GroupId> *group_log,
-                 std::vector<std::uint64_t> *set_log,
-                 std::uint64_t *rival_count)
-    {
-        groupBirths = group_log;
-        setBirths = set_log;
-        rivalBirths = rival_count;
-    }
-
-    /**
-     * Fold an externally observed timeout resolution into the
-     * zombie-expiry horizon (the sharded merge broadcasts the global
-     * maximum so every shard expires zombies on the serial horizon).
-     */
-    void
-    noteTimeoutFloor(double resolved)
-    {
-        maxResolvedTimeout = std::max(maxResolvedTimeout, resolved);
-    }
-
-    /**
-     * Rewrite every group id, identifier-set id, and rival-set id
-     * through the given maps (consolidation maps shard-local ids to
-     * serial ids; split maps them back). Ids absent from a map keep
-     * their value — the caller's maps retain tombstones for erased
-     * ids, so this only happens for the zero sentinel. The routing
-     * index is rebuilt from the renumbered sets. Allocator highwaters
-     * (nextGroupId …) are the caller's to set afterwards.
-     */
-    void renumber(
-        const std::unordered_map<GroupId, GroupId> &gid_map,
-        const std::unordered_map<std::uint64_t, std::uint64_t> &set_map,
-        const std::unordered_map<std::uint64_t, std::uint64_t> &rival_map);
-
-    /**
-     * Move the listed groups — which must form whole identifier
-     * components, i.e. every group sharing an identifier set with a
-     * listed group is itself listed — into `target`, carrying their
-     * identifier sets and relation entries and maintaining both
-     * routing indexes. Counters, removal tallies, and allocator
-     * highwaters stay behind (the sharded engine owns that ledger).
-     */
-    void moveGroupsInto(InterleavedChecker &target,
-                        const std::vector<GroupId> &gids);
 
     /** Optional execution tracer (null = no tracing). */
     obs::ExecutionTracer *tracer = nullptr;

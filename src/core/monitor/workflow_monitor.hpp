@@ -26,7 +26,6 @@
 #include "analysis/diagnostics.hpp"
 #include "common/head_queue.hpp"
 #include "core/checker/interleaved_checker.hpp"
-#include "core/checker/sharded_checker.hpp"
 #include "core/monitor/report.hpp"
 #include "core/monitor/timeout_estimator.hpp"
 #include "logging/log_codec.hpp"
@@ -118,16 +117,17 @@ struct IngestConfig
     std::size_t maxInternerEntries = 0;
 
     /**
-     * Checking engine selection (seer-swarm, DESIGN.md §14): 0 or 1
-     * keeps the serial reference engine; N > 1 deploys the sharded
-     * engine with N worker shards. Reports are bit-identical either
-     * way — sharding is a throughput decision, not a semantic one.
-     * Execution tracing pins the engine to serial (a span's identity
-     * is engine-internal); the monitor falls back silently.
+     * Unused: nothing reads it. It selected the sharded checking
+     * engine, which was deleted (DESIGN.md §14); that engine was
+     * bit-identical to the serial one, so any value gives the same
+     * reports. It stays only because perfbench prints it into its
+     * META config, which perfbench/run.py diffs against
+     * perfbench/configs.json; it goes once perfbench stops printing it.
      */
     std::size_t numShards = 0;
 
-    /** Capacity of each shard's SPSC rings (sharded engine only). */
+    /** Unused, like numShards and for the same reason: the capacity
+     *  of the deleted sharded engine's rings. */
     std::size_t shardRingCapacity = 512;
 };
 
@@ -293,17 +293,7 @@ class WorkflowMonitor
     std::vector<MonitorReport> finish();
 
     /** Checker counters. */
-    const CheckerStats &stats() const { return engine().stats(); }
-
-    /** The checking engine behind the monitor ("serial"/"sharded"). */
-    const char *engineName() const { return engine().engineName(); }
-
-    /** Shard/ring/reconciler counters; nullptr on the serial engine. */
-    const ShardMetrics *shardMetrics() const
-    {
-        return swarmEngine == nullptr ? nullptr
-                                      : &swarmEngine->metrics();
-    }
+    const CheckerStats &stats() const { return checker.stats(); }
 
     /** Ingest-pipeline counters. */
     const IngestStats &ingestStats() const { return ingest; }
@@ -318,12 +308,12 @@ class WorkflowMonitor
     common::SimTime lastTime() const { return lastTimestamp; }
 
     /** Groups currently in flight. */
-    std::size_t activeGroups() const { return engine().activeGroups(); }
+    std::size_t activeGroups() const { return checker.activeGroups(); }
 
     /** Identifier sets currently tracked. */
     std::size_t activeIdentifierSets() const
     {
-        return engine().activeIdentifierSets();
+        return checker.activeIdentifierSets();
     }
 
     /** The shared template catalog. */
@@ -347,7 +337,7 @@ class WorkflowMonitor
     /** Dependency-removal tallies from recovery (d). */
     const RemovalCounts &dependencyRemovals() const
     {
-        return engine().dependencyRemovals();
+        return checker.dependencyRemovals();
     }
 
     /** The load-time seer-lint report over the model bundle (always
@@ -479,7 +469,7 @@ class WorkflowMonitor
     /**
      * Serialise the full mutable monitor state: clock, ingest
      * counters, quarantine, reorder buffer, dedup window, timeout
-     * policy, checker engine, and (when configured) observability.
+     * policy, checker, and (when configured) observability.
      * Config, catalog, and automata are construction inputs and are
      * the caller's to re-supply; the process-wide interner is
      * snapshotted separately by the vault (it outlives any monitor).
@@ -510,14 +500,9 @@ class WorkflowMonitor
     logging::VariableExtractor extractor;
     analysis::LintReport loadReport;
 
-    /** The checking engine (serial or sharded per IngestConfig). */
-    std::unique_ptr<BaseChecker> enginePtr;
-
-    /** Non-null iff enginePtr is the sharded engine (fast probe). */
-    ShardedChecker *swarmEngine = nullptr;
-
-    BaseChecker &engine() { return *enginePtr; }
-    const BaseChecker &engine() const { return *enginePtr; }
+    /** Algorithm 2 over `specs`; declared after them, so it is built
+     *  from the automata the monitor owns. */
+    InterleavedChecker checker;
 
     std::unique_ptr<obs::Observability> obsPtr; ///< null = null sink
 
@@ -552,9 +537,6 @@ class WorkflowMonitor
     // Dedup state: key -> newest message time, plus an expiry queue.
     std::unordered_map<std::string, common::SimTime> recentKeys;
     common::HeadQueue<std::pair<common::SimTime, std::string>> recentOrder;
-
-    /** Scratch for the sharded per-record flush (avoids reallocating). */
-    std::vector<CheckEvent> stepEvents;
 
     /** Scratch for flight-recorder line encoding (reused per record). */
     std::string flightScratch;

@@ -57,28 +57,7 @@ HealthSample::toJson() const
         << ",\"p99\":" << formatNumber(feedP99us)
         << ",\"max\":" << formatNumber(feedMaxUs) << "}"
         << ",\"walAppendUs\":{\"p50\":" << formatNumber(walAppendP50us)
-        << ",\"p99\":" << formatNumber(walAppendP99us) << "}";
-    if (!shardLanes.empty()) {
-        out << ",\"shards\":{\"count\":" << shardLanes.size()
-            << ",\"reconciles\":" << shardReconcilerHits
-            << ",\"crossUnions\":" << shardCrossUnions
-            << ",\"globalFallbacks\":" << shardGlobalFallbacks
-            << ",\"quiesces\":" << shardQuiesces
-            << ",\"imbalance\":" << formatNumber(shardImbalance)
-            << ",\"lanes\":[";
-        for (std::size_t i = 0; i < shardLanes.size(); ++i) {
-            const ShardLane &lane = shardLanes[i];
-            out << (i == 0 ? "" : ",") << "{\"routed\":" << lane.routed
-                << ",\"inPeak\":" << lane.inputPeak
-                << ",\"outPeak\":" << lane.outputPeak
-                << ",\"groups\":" << lane.activeGroups
-                << ",\"checkP50us\":" << formatNumber(lane.checkP50us)
-                << ",\"checkP99us\":" << formatNumber(lane.checkP99us)
-                << "}";
-        }
-        out << "]}";
-    }
-    out << "}";
+        << ",\"p99\":" << formatNumber(walAppendP99us) << "}}";
     return out.str();
 }
 
@@ -123,20 +102,6 @@ HealthSample::saveState(common::BinWriter &out) const
     out.writeF64(feedMaxUs);
     out.writeF64(walAppendP50us);
     out.writeF64(walAppendP99us);
-    out.writeU64(shardLanes.size());
-    for (const ShardLane &lane : shardLanes) {
-        out.writeU64(lane.routed);
-        out.writeU64(lane.inputPeak);
-        out.writeU64(lane.outputPeak);
-        out.writeU64(lane.activeGroups);
-        out.writeF64(lane.checkP50us);
-        out.writeF64(lane.checkP99us);
-    }
-    out.writeU64(shardReconcilerHits);
-    out.writeU64(shardCrossUnions);
-    out.writeU64(shardGlobalFallbacks);
-    out.writeU64(shardQuiesces);
-    out.writeF64(shardImbalance);
 }
 
 bool
@@ -180,27 +145,6 @@ HealthSample::restoreState(common::BinReader &in)
     feedMaxUs = in.readF64();
     walAppendP50us = in.readF64();
     walAppendP99us = in.readF64();
-    std::uint64_t lane_count = in.readU64();
-    if (!in.ok())
-        return false;
-    shardLanes.clear();
-    for (std::uint64_t i = 0; i < lane_count; ++i) {
-        ShardLane lane;
-        lane.routed = in.readU64();
-        lane.inputPeak = in.readU64();
-        lane.outputPeak = in.readU64();
-        lane.activeGroups = in.readU64();
-        lane.checkP50us = in.readF64();
-        lane.checkP99us = in.readF64();
-        if (!in.ok())
-            return false;
-        shardLanes.push_back(lane);
-    }
-    shardReconcilerHits = in.readU64();
-    shardCrossUnions = in.readU64();
-    shardGlobalFallbacks = in.readU64();
-    shardQuiesces = in.readU64();
-    shardImbalance = in.readF64();
     return in.ok();
 }
 
@@ -255,12 +199,10 @@ Observability::walAppendLatency()
 
 void
 Observability::setBuildInfo(const std::string &build_version,
-                            const std::string &model_fingerprint,
-                            std::size_t shard_count)
+                            const std::string &model_fingerprint)
 {
     version = build_version;
     fingerprint = model_fingerprint;
-    shards = shard_count;
 }
 
 double
@@ -393,8 +335,6 @@ Observability::updateRegistry(const HealthSample &s)
                            {"version", version}},
                           "build identity; value is always 1")
             .set(1.0);
-        g("seer_shard_count", "checker shards (0 = serial engine)",
-          static_cast<double>(shards));
         g("seer_uptime_seconds",
           "wall-clock seconds since the monitor came up",
           uptimeSeconds());

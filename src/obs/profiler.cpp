@@ -25,8 +25,8 @@ thread_local volatile std::uint32_t tlsStageWord = 0;
 namespace {
 
 constexpr const char *kStageNames[kProfStageCount] = {
-    "untagged",    "sink",    "parse",       "route",
-    "check",       "verdict", "shard_check", "wal_append",
+    "untagged", "sink",    "parse",      "route",
+    "check",    "verdict", "wal_append",
 };
 
 /** The running profiler the SIGPROF handler delivers samples to.
@@ -212,12 +212,6 @@ profStageName(ProfStage stage)
     return index < kProfStageCount ? kStageNames[index] : "unknown";
 }
 
-void
-prepareThreadForProfiling()
-{
-    common::prepareThreadForStackCapture();
-}
-
 double
 Profile::taggedFraction() const
 {
@@ -233,10 +227,7 @@ Profile::toFolded() const
 {
     std::ostringstream out;
     for (const ProfileStack &stack : stacks) {
-        out << "[" << profStageName(stack.stage);
-        if (stack.stage == ProfStage::ShardCheck)
-            out << "#" << stack.shard;
-        out << "]";
+        out << "[" << profStageName(stack.stage) << "]";
         for (const std::string &frame : stack.frames)
             out << ";" << foldedFrame(frame);
         out << " " << stack.count << "\n";
@@ -277,8 +268,7 @@ Profile::toJson() const
     for (std::size_t i = 0; i < stacks.size(); ++i) {
         const ProfileStack &stack = stacks[i];
         out << "{\"stage\": \"" << profStageName(stack.stage)
-            << "\", \"shard\": " << stack.shard
-            << ", \"count\": " << stack.count << ", \"frames\": [";
+            << "\", \"count\": " << stack.count << ", \"frames\": [";
         for (std::size_t f = 0; f < stack.frames.size(); ++f)
             out << (f == 0 ? "" : ", ") << "\""
                 << jsonEscape(stack.frames[f]) << "\"";
@@ -359,8 +349,6 @@ parseProfileJson(const std::string &text, Profile &out)
             for (int i = 0; i < kProfStageCount; ++i)
                 if (name == kStageNames[i])
                     stack.stage = static_cast<ProfStage>(i);
-            if (numberField(line, "shard", value))
-                stack.shard = static_cast<unsigned>(value);
             if (numberField(line, "count", value))
                 stack.count = static_cast<std::uint64_t>(value);
             std::size_t frames_at = line.find("\"frames\": [");
@@ -539,7 +527,6 @@ Profiler::collect() const
         if (stage_index >= kProfStageCount)
             stage_index = 0;
         stack.stage = static_cast<ProfStage>(stage_index);
-        stack.shard = (word >> 8) & 0xffu;
         stack.count = count;
         out.samples += count;
         out.stageSamples[stage_index] += count;
@@ -569,8 +556,6 @@ Profiler::collect() const
                       return a.count > b.count;
                   if (a.stage != b.stage)
                       return a.stage < b.stage;
-                  if (a.shard != b.shard)
-                      return a.shard < b.shard;
                   return a.frames < b.frames;
               });
 

@@ -90,9 +90,9 @@ PulseRates::toJson() const
 std::vector<AlertRule>
 defaultAlertRules()
 {
-    // Message-clock, engine-invariant signals only: the pack must
-    // emit identical records from serial and sharded runs of one
-    // stream (wall-clock latency signals are opt-in via rules files).
+    // Message-clock, deterministic signals only: the pack must emit
+    // identical records from every run of one stream (wall-clock
+    // latency signals are opt-in via rules files).
     auto rule = [](const char *name, PulseSignal signal,
                    double threshold, double pending, double hold) {
         AlertRule r;
@@ -461,13 +461,12 @@ PulseEngine::drainAlertLines()
 std::string
 buildInfoJson(const std::string &version,
               const std::string &model_fingerprint,
-              std::size_t shard_count, double uptime_seconds)
+              double uptime_seconds)
 {
     std::ostringstream out;
     out << "{\"version\":\"" << jsonEscape(version)
         << "\",\"modelFingerprint\":\"" << jsonEscape(model_fingerprint)
-        << "\",\"shards\":" << shard_count
-        << ",\"uptimeSeconds\":" << formatNumber(uptime_seconds)
+        << "\",\"uptimeSeconds\":" << formatNumber(uptime_seconds)
         << "}";
     return out.str();
 }

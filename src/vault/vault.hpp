@@ -85,8 +85,10 @@ inline constexpr char kCheckpointMagic[9] = "CSEERVLT";
 /** Ledger file magic. */
 inline constexpr char kLedgerMagic[9] = "CSEERWAL";
 
-/** On-disk format version for both files. */
-inline constexpr std::uint32_t kVaultVersion = 1;
+/** On-disk format version for both files. 2: health samples no
+ *  longer carry the deleted sharded engine's lanes and counters, so a
+ *  version-1 checkpoint would misparse and is refused instead. */
+inline constexpr std::uint32_t kVaultVersion = 2;
 
 /** Ledger group-commit threshold: pending frame bytes that trigger a
  *  write to the OS. Sized so the hot path is a memcpy per input and

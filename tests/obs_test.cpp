@@ -638,7 +638,7 @@ TEST(BuildInfoTest, ExpositionCarriesBuildIdentityGauges)
     ObsConfig config;
     config.metrics = true;
     Observability sinks(config);
-    sinks.setBuildInfo("1.2.3-test", "cafebabe12345678", 4);
+    sinks.setBuildInfo("1.2.3-test", "cafebabe12345678");
 
     std::string text = sinks.prometheusText(HealthSample{});
     EXPECT_NE(
@@ -646,7 +646,6 @@ TEST(BuildInfoTest, ExpositionCarriesBuildIdentityGauges)
                   "\"cafebabe12345678\",version=\"1.2.3-test\"} 1"),
         std::string::npos)
         << text;
-    EXPECT_NE(text.find("seer_shard_count 4"), std::string::npos);
     EXPECT_NE(text.find("seer_uptime_seconds"), std::string::npos);
 }
 
@@ -655,15 +654,15 @@ TEST(BuildInfoTest, BuildzJsonDescribesTheBuild)
     ObsConfig config;
     config.metrics = true;
     Observability sinks(config);
-    sinks.setBuildInfo("1.2.3-test", "cafebabe12345678", 2);
-    std::string json = obs::buildInfoJson(
-        sinks.buildVersion(), sinks.modelFingerprint(),
-        sinks.shardCount(), sinks.uptimeSeconds());
+    sinks.setBuildInfo("1.2.3-test", "cafebabe12345678");
+    std::string json = obs::buildInfoJson(sinks.buildVersion(),
+                                          sinks.modelFingerprint(),
+                                          sinks.uptimeSeconds());
     EXPECT_NE(json.find("\"version\":\"1.2.3-test\""),
               std::string::npos);
     EXPECT_NE(json.find("\"modelFingerprint\":\"cafebabe12345678\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"shards\":2"), std::string::npos);
+    EXPECT_NE(json.find("\"uptimeSeconds\":"), std::string::npos);
 }
 
 // --- interpolated quantile edges (seer-probe satellite audit) ---------

@@ -3,10 +3,7 @@
  * Unit and differential tests for seer-pulse (DESIGN.md §16): the
  * rolling-window rate engine, the pending → firing → resolved alert
  * lifecycle (hysteresis band and min-hold included), the rules-file
- * parser, the scrape endpoint end-to-end over real HTTP, and the
- * serial-vs-sharded ALERT differential that pins the message-clock
- * determinism claim — one stream, two engines, byte-identical alert
- * records.
+ * parser, and the scrape endpoint end-to-end over real HTTP.
  */
 
 #include <gtest/gtest.h>
@@ -313,7 +310,7 @@ TEST(PulseSignalTest, NamesRoundTripAndClassify)
     EXPECT_TRUE(pulseSignalIsWallClock(PulseSignal::FeedP99Us));
     EXPECT_FALSE(pulseSignalIsWallClock(PulseSignal::ShedRate));
     // The deterministic default pack never touches wall-clock
-    // signals — that is what makes serial/sharded alerts identical.
+    // signals — that is what makes its alerts deterministic.
     for (const AlertRule &rule : defaultAlertRules())
         EXPECT_FALSE(pulseSignalIsWallClock(rule.signal))
             << rule.name;
@@ -584,39 +581,3 @@ TEST_F(PulseMonitorTest, ScrapeEndpointServesLiveMonitorState)
     EXPECT_NE(body.find("\"modelFingerprint\""), std::string::npos);
 }
 
-// --- serial vs sharded ALERT differential -----------------------------
-
-TEST_F(PulseMonitorTest, SerialAndShardedEmitIdenticalAlertRecords)
-{
-    auto run = [&](std::size_t shards) {
-        core::MonitorConfig config;
-        config.timeoutSeconds = 5.0;
-        config.ingest.maxActiveGroups = 4;
-        config.ingest.numShards = shards;
-        config.pulse.enabled = true;
-        config.pulse.windowSeconds = 6.0;
-        core::WorkflowMonitor monitor(config, catalog, pingPong());
-        std::vector<std::string> alerts;
-        nextRecord = 1;
-        for (int i = 0; i < 120; ++i) {
-            double t = 0.25 * i;
-            // Mostly half-open groups (cap pressure + timeouts), a
-            // few completed pairs so several signals move at once.
-            monitor.feed(record("svc-a", "ping " + uuid(i), t));
-            if (i % 5 == 0)
-                monitor.feed(
-                    record("svc-b", "pong " + uuid(i), t + 0.05));
-            for (std::string &line : monitor.drainAlertJson())
-                alerts.push_back(std::move(line));
-        }
-        monitor.finish();
-        for (std::string &line : monitor.drainAlertJson())
-            alerts.push_back(std::move(line));
-        return alerts;
-    };
-
-    std::vector<std::string> serial = run(0);
-    std::vector<std::string> sharded = run(2);
-    ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, sharded);
-}

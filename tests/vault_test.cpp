@@ -693,3 +693,63 @@ TEST_F(VaultMonitorTest, RecoveryRefusesModelFingerprintMismatch)
     restored.feedLine("bogus line");
     EXPECT_EQ(restored.monitor().malformedLines(), 1u);
 }
+
+TEST_F(VaultMonitorTest, RecoveryRefusesCheckpointOfAnOlderFormat)
+{
+    VaultDir dir("vault_old_format");
+    vault::VaultConfig vault_config;
+    vault_config.directory = dir.path;
+    std::vector<logging::LogRecord> records = workload(7, 8);
+    {
+        // With metrics on, the checkpoint carries health samples,
+        // whose layout is what changed between versions 1 and 2.
+        MonitorConfig instrumented = config(false);
+        instrumented.observability.metrics = true;
+        instrumented.observability.snapshotIntervalSeconds = 1.0;
+        vault::VaultedMonitor vaulted(vault_config, instrumented,
+                                      catalog, automata());
+        for (const logging::LogRecord &record : records)
+            vaulted.feed(record);
+        ASSERT_TRUE(vaulted.checkpoint());
+    }
+
+    // Rewrite the header's version word (bytes 8-11, little-endian)
+    // to 1, the format before the health-sample layout changed.
+    const std::string path = vault::checkpointPath(dir.path);
+    {
+        std::fstream file(path,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(file.is_open());
+        file.seekp(8);
+        const char version_one[4] = {1, 0, 0, 0};
+        file.write(version_one, 4);
+        ASSERT_TRUE(file.good());
+    }
+
+    MonitorConfig instrumented = config(false);
+    instrumented.observability.metrics = true;
+    instrumented.observability.snapshotIntervalSeconds = 1.0;
+    vault::VaultedMonitor restored(vault_config, instrumented, catalog,
+                                   automata());
+    EXPECT_TRUE(restored.recovery().attempted);
+    EXPECT_FALSE(restored.recovery().recovered);
+    EXPECT_EQ(restored.recovery().error,
+              "checkpoint unreadable or incomplete");
+    EXPECT_EQ(restored.recovery().replayedInputs, 0u);
+
+    // The monitor starts from a fresh state: nothing of the old run
+    // survives, and the stream checks as on a brand-new monitor.
+    EXPECT_EQ(restored.monitor().stats().messages, 0u);
+    EXPECT_EQ(restored.monitor().ingestStats().recordsDelivered, 0u);
+    EXPECT_EQ(restored.monitor().activeGroups(), 0u);
+    WorkflowMonitor fresh(instrumented, catalog, automata());
+    std::string left, right;
+    for (const logging::LogRecord &record : records) {
+        left += render(fresh.feed(record), catalog);
+        right += render(restored.feed(record), catalog);
+    }
+    left += render(fresh.finish(), catalog);
+    right += render(restored.finish(), catalog);
+    EXPECT_FALSE(left.empty());
+    EXPECT_EQ(left, right);
+}

@@ -249,80 +249,16 @@ printDetail(const std::string &line)
     row("max", numberValue(line, "max", lat));
 }
 
-/**
- * Per-shard view of the final snapshot (seer-swarm, DESIGN.md §14):
- * ring depth, throughput share and reconciler activity from the
- * "shards" section the sharded engine adds to HEALTH records.
- * Returns false (a nonzero exit for the caller) when the snapshot
- * came from the serial engine — nothing to render is a usage error
- * worth failing scripts over, not an empty table.
- */
-bool
-printShards(const std::string &line)
-{
-    std::size_t sec = sectionStart(line, "shards");
-    if (sec == std::string::npos) {
-        std::fprintf(stderr,
-                     "serial engine: snapshot has no shard section "
-                     "(set ingest.numShards > 1)\n");
-        return false;
-    }
-    std::printf("sharded engine @ t=%.3f\n", numberValue(line, "time"));
-
-    // Collect the lanes first: the throughput share needs the total.
-    struct Lane
-    {
-        double routed, inPeak, outPeak, groups;
-    };
-    std::vector<Lane> lanes;
-    double total = 0.0;
-    std::size_t cursor = line.find("\"lanes\":[", sec);
-    int count = static_cast<int>(numberValue(line, "count", sec));
-    for (int i = 0; i < count && cursor != std::string::npos; ++i) {
-        cursor = line.find("{\"routed\":", cursor);
-        if (cursor == std::string::npos)
-            break;
-        Lane lane = {numberValue(line, "routed", cursor),
-                     numberValue(line, "inPeak", cursor),
-                     numberValue(line, "outPeak", cursor),
-                     numberValue(line, "groups", cursor)};
-        total += lane.routed;
-        lanes.push_back(lane);
-        ++cursor;
-    }
-
-    std::printf("%6s %10s %7s %8s %8s %8s\n", "shard", "routed",
-                "share", "inPeak", "outPeak", "groups");
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        std::printf("%6zu %10.0f %6.1f%% %8.0f %8.0f %8.0f\n", i,
-                    lanes[i].routed,
-                    total > 0.0 ? 100.0 * lanes[i].routed / total : 0.0,
-                    lanes[i].inPeak, lanes[i].outPeak, lanes[i].groups);
-    }
-    auto row = [](const char *label, double value) {
-        std::printf("  %-28s %.6g\n", label, value);
-    };
-    std::printf("reconciler:\n");
-    row("slow-path reconciles", numberValue(line, "reconciles", sec));
-    row("cross-shard unions", numberValue(line, "crossUnions", sec));
-    row("global fallbacks", numberValue(line, "globalFallbacks", sec));
-    row("pipeline quiesces", numberValue(line, "quiesces", sec));
-    row("routing imbalance", numberValue(line, "imbalance", sec));
-    return true;
-}
-
 int
 usage(std::ostream &out, int status)
 {
-    out << "usage: seer-stats [--last | --follow | --summary | "
-           "--shards] [stream.jsonl]\n"
+    out << "usage: seer-stats [--last | --follow | --summary] "
+           "[stream.jsonl]\n"
            "  (default) one table row per HEALTH snapshot, ALERT\n"
            "            records interleaved where they occurred\n"
            "  --last    detailed view of the final snapshot\n"
            "  --follow  tail the file, printing rows as they appear\n"
            "  --summary detailed view of the trailing SUMMARY record\n"
-           "  --shards  per-shard view of the final snapshot "
-           "(sharded engine)\n"
            "  --poll-limit N  with --follow: exit after N idle polls\n"
            "reads stdin when no file is given (except --follow)\n";
     return status;
@@ -422,7 +358,6 @@ main(int argc, char **argv)
     bool lastOnly = false;
     bool tailMode = false;
     bool summaryMode = false;
-    bool shardsMode = false;
     long pollLimit = 0;
     std::string path;
     for (int i = 1; i < argc; ++i) {
@@ -433,8 +368,6 @@ main(int argc, char **argv)
             tailMode = true;
         } else if (arg == "--summary") {
             summaryMode = true;
-        } else if (arg == "--shards") {
-            shardsMode = true;
         } else if (arg == "--poll-limit" && i + 1 < argc) {
             pollLimit = std::atol(argv[++i]);
         } else if (arg == "--help" || arg == "-h") {
@@ -448,14 +381,12 @@ main(int argc, char **argv)
         }
     }
     if (tailMode) {
-        if (lastOnly || summaryMode || shardsMode || path.empty())
+        if (lastOnly || summaryMode || path.empty())
             return usage(std::cerr, 2);
         return follow(path, pollLimit);
     }
-    if ((summaryMode && lastOnly) || (shardsMode && summaryMode) ||
-        (shardsMode && lastOnly)) {
+    if (summaryMode && lastOnly)
         return usage(std::cerr, 2);
-    }
 
     std::istream *in = &std::cin;
     std::ifstream file;
@@ -470,7 +401,7 @@ main(int argc, char **argv)
 
     // The table view interleaves ALERT records where the stream
     // carries them; every other mode keys off HEALTH/SUMMARY only.
-    const bool tableMode = !summaryMode && !lastOnly && !shardsMode;
+    const bool tableMode = !summaryMode && !lastOnly;
     std::vector<std::string> samples;
     std::string line;
     while (std::getline(*in, line)) {
@@ -489,9 +420,6 @@ main(int argc, char **argv)
     if (summaryMode) {
         printSummary(samples.back());
         return 0;
-    }
-    if (shardsMode) {
-        return printShards(samples.back()) ? 0 : 1;
     }
     if (lastOnly) {
         printDetail(samples.back());
