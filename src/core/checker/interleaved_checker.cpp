@@ -183,12 +183,15 @@ InterleavedChecker::selectIdSets(const std::vector<IdToken> &view,
                                  int *overlap_out, bool tie_break,
                                  std::vector<std::uint64_t> &selected)
 {
-    if (config.routingIndex)
+    if (config.routingIndex) {
         selectIdSetsIndexed(view, max_overlap_exclusive, overlap_out,
                             tie_break, selected);
-    else
+        idSetVisits += hitScratch.size();
+    } else {
         selectIdSetsScan(view, max_overlap_exclusive, overlap_out,
                          tie_break, selected);
+        idSetVisits += idsets.size();
+    }
 }
 
 void

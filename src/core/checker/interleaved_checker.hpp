@@ -228,6 +228,14 @@ class InterleavedChecker
     std::size_t postingTokens() const { return postings.size(); }
 
     /**
+     * Identifier sets visited by selection so far: every live set per
+     * scan, every posting hit per indexed lookup. Counted work, exact
+     * per input, so tests can pin routing complexity without a clock;
+     * not a CheckerStats field, never checkpointed or exported.
+     */
+    std::uint64_t idSetsVisited() const { return idSetVisits; }
+
+    /**
      * Full cross-check of the routing structures: every id-set token
      * appears in exactly one posting entry, no posting points at a
      * dead set, the contents map mirrors the live sets, and every
@@ -373,6 +381,7 @@ class InterleavedChecker
     std::uint64_t nextGroupId = 1;
     std::uint64_t nextIdSetId = 1;
     std::uint64_t nextRivalSet = 1;
+    std::uint64_t idSetVisits = 0;
 
     bool templateKnown(logging::TemplateId tpl) const;
 

@@ -17,8 +17,7 @@
  * nothing, no signal handler or timer is installed, and the stage
  * markers degrade to two TLS stores per scope, so reports and
  * event-stream digests are bit-identical with profiling on or off
- * (pinned by tests/profiler_test and the `bench_throughput --profile`
- * digest gate).
+ * (pinned by ProfilerTest.ReportsBitIdenticalWithProfilingOnOrOff).
  *
  * Optional allocation attribution (per-stage byte/count tallies via
  * global operator-new hooks) is compiled out by default; configure

@@ -92,8 +92,8 @@ inline constexpr std::uint32_t kVaultVersion = 2;
 
 /** Ledger group-commit threshold: pending frame bytes that trigger a
  *  write to the OS. Sized so the hot path is a memcpy per input and
- *  the write syscall amortises over hundreds of frames, keeping the
- *  vault under the ingest-overhead bar bench_throughput enforces. */
+ *  the write syscall amortises over hundreds of frames (perfbench's
+ *  `vault.append_ns` measures what is left). */
 inline constexpr std::size_t kGroupCommitBytes = 32 * 1024;
 
 /** Checkpoint section kinds (first u32 of each checkpoint frame). */

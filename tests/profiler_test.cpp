@@ -3,9 +3,10 @@
  * Tests for seer-probe (DESIGN.md §17): the null-object contract of a
  * disabled profiler (no signal handler, no timer, reports
  * bit-identical with profiling on or off), stage-tagged sampling of a
- * busy loop, the folded/JSON serialisations and their round-trip, the
- * SIGPROF disposition restore on stop, and the live /profilez
- * endpoint on a pulse-enabled monitor.
+ * busy loop, the attribution floor over WorkflowMonitor::feedLine, the
+ * folded/JSON serialisations and their round-trip, the SIGPROF
+ * disposition restore on stop, and the live /profilez endpoint on a
+ * pulse-enabled monitor.
  *
  * The sampling cases use generous CPU-burn windows and assert
  * presence/dominance rather than exact counts — SIGPROF ticks on
@@ -24,6 +25,7 @@
 
 #include "common/http_server.hpp"
 #include "core/monitor/workflow_monitor.hpp"
+#include "logging/log_codec.hpp"
 #include "logging/template_catalog.hpp"
 #include "obs/profiler.hpp"
 
@@ -57,6 +59,20 @@ burnCpu(double seconds)
     while (spent() - start < seconds)
         for (int i = 0; i < 10000; ++i)
             sink = sink * 1664525u + 1013904223u;
+}
+
+/** The ping → pong task every monitor case here runs. */
+std::vector<core::TaskAutomaton>
+pingPong(logging::TemplateCatalog &catalog)
+{
+    logging::TemplateId ping = catalog.intern("svc-a", "ping <uuid>");
+    logging::TemplateId pong = catalog.intern("svc-b", "pong <uuid>");
+    std::vector<core::TaskAutomaton> automata;
+    automata.emplace_back(
+        "ping-pong",
+        std::vector<core::EventNode>{{ping, 0}, {pong, 0}},
+        std::vector<core::DependencyEdge>{{0, 1, true}});
+    return automata;
 }
 
 // --- stage scopes ------------------------------------------------------
@@ -142,16 +158,9 @@ TEST(ProfilerTest, DisabledMonitorInstallsNoHandler)
 {
     ASSERT_EQ(sigprofDisposition().sa_handler, SIG_DFL);
     auto catalog = std::make_shared<logging::TemplateCatalog>();
-    logging::TemplateId ping = catalog->intern("svc-a", "ping <uuid>");
-    logging::TemplateId pong = catalog->intern("svc-b", "pong <uuid>");
-    std::vector<core::TaskAutomaton> automata;
-    automata.emplace_back(
-        "ping-pong",
-        std::vector<core::EventNode>{{ping, 0}, {pong, 0}},
-        std::vector<core::DependencyEdge>{{0, 1, true}});
     core::MonitorConfig config; // profiler.enabled defaults to false
     core::WorkflowMonitor monitor(config, catalog,
-                                  std::move(automata));
+                                  pingPong(*catalog));
     EXPECT_FALSE(monitor.profilerEnabled());
     EXPECT_EQ(monitor.profiler(), nullptr);
 
@@ -175,19 +184,12 @@ std::vector<std::string>
 reportTrace(bool profiler_on)
 {
     auto catalog = std::make_shared<logging::TemplateCatalog>();
-    logging::TemplateId ping = catalog->intern("svc-a", "ping <uuid>");
-    logging::TemplateId pong = catalog->intern("svc-b", "pong <uuid>");
-    std::vector<core::TaskAutomaton> automata;
-    automata.emplace_back(
-        "ping-pong",
-        std::vector<core::EventNode>{{ping, 0}, {pong, 0}},
-        std::vector<core::DependencyEdge>{{0, 1, true}});
     core::MonitorConfig config;
     config.timeoutSeconds = 5.0;
     config.profiler.enabled = profiler_on;
     config.profiler.hz = 997; // sample as hard as we allow
     core::WorkflowMonitor monitor(config, catalog,
-                                  std::move(automata));
+                                  pingPong(*catalog));
 
     std::vector<std::string> trace;
     auto absorb = [&](const std::vector<core::MonitorReport> &batch) {
@@ -303,6 +305,88 @@ TEST(ProfilerTest, ParseRejectsNonProfileDocuments)
     EXPECT_EQ(out.hz, 42); // untouched on failure
 }
 
+// --- attribution floor on the wire path -------------------------------
+
+TEST(ProfilerTest, FeedLineSamplesLandInTaggedStages)
+{
+    // Almost all of feedLine's CPU must sample under a stage tag; a
+    // lower share means the stage markers drifted off the hot path.
+    // Only stage tags are asserted, never stack frames, so this case
+    // holds under TSan too.
+    ASSERT_EQ(sigprofDisposition().sa_handler, SIG_DFL);
+    auto catalog = std::make_shared<logging::TemplateCatalog>();
+
+    // Pre-encoded wire lines, so no encoding runs while sampling:
+    // 10000 ping-pong tasks, each pong trailing its ping by three.
+    std::vector<std::string> lines;
+    auto line = [&](const std::string &service, const std::string &body,
+                    double t) {
+        logging::LogRecord record;
+        record.timestamp = t;
+        record.node = "n1";
+        record.service = service;
+        record.level = logging::LogLevel::Info;
+        record.body = body;
+        lines.push_back(logging::encodeLogLine(record));
+    };
+    auto uuid = [](int task) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf,
+                      "%08d-2222-2222-2222-222222222222", task);
+        return std::string(buf);
+    };
+    constexpr int kTasks = 10000;
+    constexpr int kLag = 3;
+    for (int task = 0; task < kTasks + kLag; ++task) {
+        double t = 1.0 + 0.001 * task;
+        if (task < kTasks)
+            line("svc-a", "ping " + uuid(task), t);
+        if (task >= kLag)
+            line("svc-b", "pong " + uuid(task - kLag), t + 0.0005);
+    }
+
+    ProfilerConfig config;
+    config.enabled = true;
+    config.hz = 499;
+    config.maxSamples = 1 << 16;
+    Profiler profiler(config);
+    ASSERT_TRUE(profiler.start());
+    // Poll the sample count rather than estimating passes from the
+    // nominal rate: expired timer ticks coalesce into one SIGPROF.
+    constexpr std::uint64_t kMinSamples = 300;
+    int passes = 0;
+    while (profiler.sampleCount() < kMinSamples && passes < 200) {
+        core::WorkflowMonitor monitor(core::MonitorConfig{}, catalog,
+                                      pingPong(*catalog));
+        for (const std::string &wire : lines)
+            monitor.feedLine(wire);
+        EXPECT_EQ(monitor.stats().accepted,
+                  static_cast<std::uint64_t>(kTasks));
+        ++passes;
+    }
+    profiler.stop();
+    EXPECT_EQ(sigprofDisposition().sa_handler, SIG_DFL);
+
+    Profile profile = profiler.collect();
+    std::printf("attribution: %llu samples over %d passes, %.1f%% "
+                "tagged\n",
+                static_cast<unsigned long long>(profile.samples), passes,
+                100.0 * profile.taggedFraction());
+    ASSERT_GE(profile.samples, kMinSamples)
+        << "only " << profile.samples << " samples in " << passes
+        << " passes";
+    EXPECT_GE(profile.taggedFraction(), 0.9)
+        << profile.samples << " samples over " << passes << " passes";
+
+    Profile parsed;
+    ASSERT_TRUE(parseProfileJson(profile.toJson(), parsed));
+    EXPECT_EQ(parsed.hz, 499);
+    EXPECT_EQ(parsed.samples, profile.samples);
+    EXPECT_EQ(parsed.dropped, profile.dropped);
+    EXPECT_EQ(parsed.stageSamples, profile.stageSamples);
+    EXPECT_NEAR(parsed.taggedFraction(), profile.taggedFraction(), 1e-9);
+}
+
 TEST(ProfilerTest, AllocTrackingCompiledOutByDefault)
 {
     // -DCLOUDSEER_PROFILE_ALLOC=ON flips this (and the JSON's alloc
@@ -320,18 +404,11 @@ TEST(ProfilerTest, ProfilezServesLiveProfile)
 {
     ASSERT_EQ(sigprofDisposition().sa_handler, SIG_DFL);
     auto catalog = std::make_shared<logging::TemplateCatalog>();
-    logging::TemplateId ping = catalog->intern("svc-a", "ping <uuid>");
-    logging::TemplateId pong = catalog->intern("svc-b", "pong <uuid>");
-    std::vector<core::TaskAutomaton> automata;
-    automata.emplace_back(
-        "ping-pong",
-        std::vector<core::EventNode>{{ping, 0}, {pong, 0}},
-        std::vector<core::DependencyEdge>{{0, 1, true}});
     core::MonitorConfig config;
     config.pulse.enabled = true;
     config.pulse.httpPort = 0; // ephemeral
     core::WorkflowMonitor monitor(config, catalog,
-                                  std::move(automata));
+                                  pingPong(*catalog));
     ASSERT_GT(monitor.pulsePort(), 0);
 
     // No persistent profiler configured: /profilez spins up a

@@ -539,6 +539,7 @@ TEST_F(PulseMonitorTest, ScrapeEndpointServesLiveMonitorState)
     config.pulse.windowSeconds = 6.0;
     config.pulse.httpPort = 0; // ephemeral
     config.pulse.stageSampleEvery = 1;
+    config.ingest.maxActiveGroups = 4; // the shed burst's target
     core::WorkflowMonitor monitor(config, catalog, pingPong());
     int port = monitor.pulsePort();
     ASSERT_GT(port, 0);
@@ -579,5 +580,26 @@ TEST_F(PulseMonitorTest, ScrapeEndpointServesLiveMonitorState)
                                 "/buildz", status, body));
     EXPECT_EQ(status, 200);
     EXPECT_NE(body.find("\"modelFingerprint\""), std::string::npos);
+
+    // A group-cap shed burst: 30 half-open groups over 15 s of message
+    // clock. The scrape plane must report it without a restart.
+    for (int i = 0; i < 30; ++i)
+        monitor.feed(
+            record("svc-a", "ping " + uuid(100 + i), 5.0 + 0.5 * i));
+    monitor.publishPulse();
+
+    ASSERT_TRUE(common::httpGet("127.0.0.1",
+                                static_cast<std::uint16_t>(port),
+                                "/healthz", status, body));
+    EXPECT_EQ(status, 200);
+    EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos)
+        << body;
+
+    ASSERT_TRUE(common::httpGet("127.0.0.1",
+                                static_cast<std::uint16_t>(port),
+                                "/alerts", status, body));
+    EXPECT_EQ(status, 200);
+    EXPECT_NE(body.find("\"rule\":\"shed_burn\""), std::string::npos)
+        << body;
 }
 

@@ -5,7 +5,9 @@
  * group lifecycle (create, decisive expansion, fork, retire, zombie,
  * finish), and the differential guarantee — the indexed checker's
  * report sequence is bit-identical to the reference scan path on
- * clean and transport-perturbed streams.
+ * clean and transport-perturbed streams — and the counted-work bound:
+ * indexed selection visits a flat number of identifier sets per
+ * message while the scan's grows with the in-flight count.
  */
 
 #include <algorithm>
@@ -16,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "collect/stream_perturber.hpp"
+#include "common/rng.hpp"
+#include "common/uuid.hpp"
 #include "core/checker/interleaved_checker.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "eval/accuracy_harness.hpp"
@@ -219,11 +223,10 @@ models()
     return system;
 }
 
-/** Byte-exact fingerprint of everything a report carries. */
+/** Byte-exact fingerprint of everything an event carries. */
 std::string
-fingerprint(const MonitorReport &report)
+fingerprint(const CheckEvent &event)
 {
-    const CheckEvent &event = report.event;
     std::string out;
     out += std::to_string(static_cast<int>(event.kind));
     out += '|';
@@ -252,6 +255,14 @@ fingerprint(const MonitorReport &report)
     std::snprintf(time_buf, sizeof(time_buf), "|%.9f|", event.time);
     out += time_buf;
     out += std::to_string(event.group);
+    return out;
+}
+
+/** Byte-exact fingerprint of everything a report carries. */
+std::string
+fingerprint(const MonitorReport &report)
+{
+    std::string out = fingerprint(report.event);
     out += '|';
     out += report.endOfStream ? '1' : '0';
     return out;
@@ -363,4 +374,141 @@ TEST(RoutingIndexDifferential, PerturbedWireStreamReportsBitIdentical)
     expectIdenticalReports(indexed.finish(), scan.finish(),
                            "wire-finish", wire.lines.size());
     expectIdenticalStats(indexed.stats(), scan.stats());
+}
+
+// --- counted routing work: indexed selection stays flat ----------------
+
+namespace {
+
+constexpr int kChainLength = 8;
+
+/** Linear workflow of kChainLength events: a decisive-heavy schedule,
+ *  so selection cost is what varies with the in-flight count, not
+ *  forking. */
+TaskAutomaton
+chainAutomaton(logging::TemplateCatalog &catalog)
+{
+    std::vector<EventNode> events;
+    std::vector<DependencyEdge> edges;
+    for (int i = 0; i < kChainLength; ++i) {
+        events.push_back(
+            {catalog.intern("svc", "step-" + std::to_string(i) +
+                                       " <uuid>"),
+             0});
+        if (i > 0)
+            edges.push_back({i - 1, i, false});
+    }
+    return TaskAutomaton("chain", std::move(events), std::move(edges));
+}
+
+/**
+ * Deterministic interleaved schedule: `inflight` tasks in flight at
+ * all times, each with a unique pair of uuid identifiers; a finished
+ * task is immediately replaced by a fresh one.
+ */
+std::vector<CheckMessage>
+makeSchedule(const TaskAutomaton &automaton, int inflight,
+             int total_messages, std::uint64_t seed)
+{
+    logging::IdentifierInterner &interner =
+        logging::IdentifierInterner::process();
+    common::Rng rng(seed);
+
+    struct Slot
+    {
+        std::vector<logging::IdToken> ids;
+        int next = 0;
+    };
+    auto freshSlot = [&] {
+        Slot slot;
+        slot.ids = {interner.intern(common::makeUuid(rng)),
+                    interner.intern(common::makeUuid(rng))};
+        return slot;
+    };
+
+    std::vector<Slot> slots;
+    for (int i = 0; i < inflight; ++i)
+        slots.push_back(freshSlot());
+
+    std::vector<CheckMessage> schedule;
+    schedule.reserve(static_cast<std::size_t>(total_messages));
+    logging::RecordId record = 1;
+    double t = 0.0;
+    while (static_cast<int>(schedule.size()) < total_messages) {
+        Slot &slot = slots[static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<int>(slots.size()) - 1))];
+        CheckMessage message;
+        message.tpl = automaton.event(slot.next).tpl;
+        message.identifiers = slot.ids;
+        message.record = record++;
+        message.time = (t += 0.0001);
+        schedule.push_back(std::move(message));
+        if (++slot.next == kChainLength)
+            slot = freshSlot();
+    }
+    return schedule;
+}
+
+struct RoutingRun
+{
+    std::vector<std::string> events; ///< fingerprints, feed then finish
+    std::uint64_t visits = 0;        ///< idSetsVisited() after feeding
+};
+
+RoutingRun
+replay(const TaskAutomaton &automaton,
+       const std::vector<CheckMessage> &schedule, bool routing_index)
+{
+    CheckerConfig config;
+    config.routingIndex = routing_index;
+    InterleavedChecker checker(config, {&automaton});
+    RoutingRun run;
+    for (const CheckMessage &message : schedule)
+        for (const CheckEvent &event : checker.feed(message))
+            run.events.push_back(fingerprint(event));
+    run.visits = checker.idSetsVisited();
+    for (const CheckEvent &event :
+         checker.finish(schedule.back().time + 1.0))
+        run.events.push_back(fingerprint(event));
+    return run;
+}
+
+} // namespace
+
+TEST(RoutingIndexCountedWork, IndexedVisitsStayFlatWhileScanGrows)
+{
+    // Sets visited per message, not wall-clock time: the count is
+    // exact per seed, so this pins routing complexity on any machine.
+    // Measured with these seeds: indexed 1.75 / 1.74 / 1.70 / 1.70,
+    // scan 8.8 / 43.6 / 169.9 / 846.9 sets per message.
+    logging::TemplateCatalog catalog;
+    TaskAutomaton automaton = chainAutomaton(catalog);
+    for (int inflight : {10, 50, 200, 1000}) {
+        // Enough messages for the slot pool to cycle several task
+        // generations at every level.
+        const int messages = std::max(4000, 2 * kChainLength * inflight);
+        std::vector<CheckMessage> schedule = makeSchedule(
+            automaton, inflight, messages,
+            static_cast<std::uint64_t>(inflight) * 7919u + 11u);
+        RoutingRun indexed = replay(automaton, schedule, true);
+        RoutingRun scan = replay(automaton, schedule, false);
+
+        ASSERT_FALSE(indexed.events.empty()) << inflight << " in-flight";
+        ASSERT_EQ(indexed.events, scan.events)
+            << inflight << " in-flight: indexed and scan reports differ";
+
+        const double indexed_per_msg =
+            static_cast<double>(indexed.visits) / messages;
+        const double scan_per_msg =
+            static_cast<double>(scan.visits) / messages;
+        std::printf("%4d in-flight: indexed %.2f, scan %.1f sets visited "
+                    "per message\n",
+                    inflight, indexed_per_msg, scan_per_msg);
+        EXPECT_LE(indexed_per_msg, 2.0)
+            << inflight << " in-flight: indexed selection visited "
+            << indexed_per_msg << " sets per message";
+        EXPECT_GE(scan_per_msg, 0.5 * inflight)
+            << inflight << " in-flight: scan selection visited "
+            << scan_per_msg << " sets per message";
+    }
 }

@@ -473,6 +473,27 @@ TEST(PulseTool, ScrapeDiagnosesBadAndUnreachableEndpoints)
     EXPECT_EQ(unreachable.status, 2) << unreachable.output;
     EXPECT_NE(unreachable.output.find("cannot reach"),
               std::string::npos);
+
+    // And a live endpoint: a pulse-enabled monitor in this process,
+    // served by its accept thread while the child scrapes it.
+    testutil::LetterCatalog letters;
+    std::vector<TaskAutomaton> automata;
+    automata.push_back(testutil::makeLetterAutomaton(
+        letters, "ab", {"A", "B"}, {{"A", "B"}}));
+    MonitorConfig config;
+    config.pulse.enabled = true;
+    config.pulse.httpPort = 0; // ephemeral
+    WorkflowMonitor monitor(config, letters.catalog, std::move(automata));
+    ASSERT_GT(monitor.pulsePort(), 0);
+    monitor.publishPulse();
+
+    RunResult served =
+        run(bin + " scrape 127.0.0.1:" +
+            std::to_string(monitor.pulsePort()) + " /metrics");
+    EXPECT_EQ(served.status, 0) << served.output;
+    EXPECT_NE(served.output.find("seer_accepted_total"),
+              std::string::npos)
+        << served.output;
 }
 
 // --- seer_stats × seer_pulse (ALERT interleave) ---------------------
@@ -656,123 +677,6 @@ TEST(ProfTool, DiffRanksGrownFramesFirstAndRefusesEmptyProfiles)
         run(bin + " diff " + base_path + " " + empty_path);
     EXPECT_EQ(refused.status, 2) << refused.output;
     EXPECT_NE(refused.output.find("empty profile"), std::string::npos);
-}
-
-// --- seer_bench_diff --------------------------------------------------
-
-namespace {
-
-/** A one-level throughput document in the bench's own key layout. */
-std::string
-benchJson(double indexed_mps, double prove_speedup,
-          double obs_overhead, bool with_speedup = true)
-{
-    std::ostringstream out;
-    out.setf(std::ios::fixed);
-    out.precision(3);
-    out << "{\n  \"bench\": \"throughput\",\n  \"levels\": [\n"
-        << "    {\"inflight\": 10, \"messages\": 4000,\n"
-        << "     \"indexed\": {\"mps\": " << indexed_mps
-        << ", \"p50_us\": 0.5, \"p99_us\": 1.2},\n"
-        << "     \"obs_overhead\": " << obs_overhead << ",\n";
-    if (with_speedup)
-        out << "     \"prove_speedup\": " << prove_speedup << ",\n";
-    out << "     \"speedup\": 2.0}\n  ]\n}\n";
-    return out.str();
-}
-
-} // namespace
-
-TEST(BenchDiffTool, CommittedBaselineSelfCompareIsClean)
-{
-    std::string committed =
-        std::string(CLOUDSEER_SOURCE_DIR) + "/BENCH_throughput.json";
-    RunResult result = run(std::string(SEER_BENCH_DIFF_BIN) + " " +
-                           committed + " " + committed);
-    EXPECT_EQ(result.status, 0) << result.output;
-    EXPECT_NE(result.output.find("ok: no regressions"),
-              std::string::npos)
-        << result.output;
-}
-
-TEST(BenchDiffTool, SyntheticRegressionTripsAndRatiosOnlyScopes)
-{
-    ToolDir dir("bench_diff");
-    std::string base_path = dir.file("base.json");
-    std::string fresh_path = dir.file("fresh.json");
-    std::ofstream(base_path) << benchJson(1000000.0, 1.5, 0.05);
-    // A 20% throughput drop — past the default 10% band — with the
-    // hardware-independent ratios and overheads held steady.
-    std::ofstream(fresh_path) << benchJson(800000.0, 1.5, 0.05);
-    const std::string bin = SEER_BENCH_DIFF_BIN;
-
-    RunResult tripped = run(bin + " " + base_path + " " + fresh_path);
-    EXPECT_EQ(tripped.status, 1) << tripped.output;
-    EXPECT_NE(tripped.output.find("indexed.mps"), std::string::npos)
-        << tripped.output;
-    EXPECT_NE(tripped.output.find("REGRESSED"), std::string::npos);
-    EXPECT_NE(tripped.output.find("FAIL:"), std::string::npos);
-
-    // --ratios-only drops the absolute-throughput class (the
-    // cross-hardware CI mode), and nothing else regressed here.
-    RunResult scoped = run(bin + " --ratios-only " + base_path + " " +
-                           fresh_path);
-    EXPECT_EQ(scoped.status, 0) << scoped.output;
-
-    // A generous tolerance absorbs the same drop.
-    EXPECT_EQ(run(bin + " --tolerance 0.25 " + base_path + " " +
-                  fresh_path)
-                  .status,
-              0);
-
-    // A ratio regression (speedup 1.5 → 1.0) survives --ratios-only.
-    std::string slow_path = dir.file("slow.json");
-    std::ofstream(slow_path) << benchJson(1000000.0, 1.0, 0.05);
-    RunResult ratio = run(bin + " --ratios-only " + base_path + " " +
-                          slow_path);
-    EXPECT_EQ(ratio.status, 1) << ratio.output;
-    EXPECT_NE(ratio.output.find("prove_speedup"), std::string::npos);
-
-    // Overheads gate on an absolute band: +0.15 regresses, +0.05 not.
-    std::string heavy_path = dir.file("heavy.json");
-    std::ofstream(heavy_path) << benchJson(1000000.0, 1.5, 0.20);
-    EXPECT_EQ(run(bin + " " + base_path + " " + heavy_path).status, 1);
-    std::string light_path = dir.file("light.json");
-    std::ofstream(light_path) << benchJson(1000000.0, 1.5, 0.10);
-    EXPECT_EQ(run(bin + " " + base_path + " " + light_path).status, 0);
-}
-
-TEST(BenchDiffTool, MetricMissingFromFreshRunIsARegression)
-{
-    ToolDir dir("bench_diff_missing");
-    std::string base_path = dir.file("base.json");
-    std::string fresh_path = dir.file("fresh.json");
-    std::ofstream(base_path) << benchJson(1000000.0, 1.5, 0.05);
-    std::ofstream(fresh_path)
-        << benchJson(1000000.0, 1.5, 0.05, /*with_speedup=*/false);
-    RunResult result = run(std::string(SEER_BENCH_DIFF_BIN) + " " +
-                           base_path + " " + fresh_path);
-    EXPECT_EQ(result.status, 1) << result.output;
-    EXPECT_NE(result.output.find("MISSING from fresh run"),
-              std::string::npos)
-        << result.output;
-
-    // --json renders the same verdicts machine-readably.
-    RunResult as_json = run(std::string(SEER_BENCH_DIFF_BIN) +
-                            " --json " + base_path + " " + fresh_path);
-    EXPECT_EQ(as_json.status, 1);
-    EXPECT_NE(as_json.output.find("\"kind\": \"BENCH_DIFF\""),
-              std::string::npos)
-        << as_json.output;
-    EXPECT_NE(as_json.output.find("prove_speedup"), std::string::npos);
-
-    // Non-bench input is a usage-class failure, not a verdict.
-    std::string bogus_path = dir.file("bogus.json");
-    std::ofstream(bogus_path) << "{\"bench\": \"soak\"}";
-    EXPECT_EQ(run(std::string(SEER_BENCH_DIFF_BIN) + " " + bogus_path +
-                  " " + fresh_path)
-                  .status,
-              2);
 }
 
 // --- idle-stream warnings (seer_stats --follow, seer_pulse watch) -----

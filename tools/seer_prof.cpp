@@ -1,8 +1,8 @@
 /**
  * @file
  * seer-prof: offline viewer for seer-probe profiles (DESIGN.md §17).
- * Three commands over the self-describing JSON that `/profilez`,
- * `bench_throughput --profile-out` and Profile::toJson() emit:
+ * Three commands over the self-describing JSON that `/profilez` and
+ * Profile::toJson() emit:
  *
  *     seer-prof top PROFILE.json [--limit N] [--cumulative]
  *                                [--min-tagged F]
@@ -13,8 +13,8 @@
  * by self samples (leaf of each stack) — or by cumulative samples
  * (frame appears anywhere on the stack) with --cumulative. With
  * --min-tagged F it exits 1 when the tagged fraction falls below F,
- * which is how CI pins "the profiler attributes the bench's CPU to
- * stages" as an invariant instead of a demo.
+ * so a script can refuse a profile whose CPU the stage markers do not
+ * cover.
  *
  * `folded` reprints the profile as flamegraph.pl-ready collapsed
  * stacks — the .folded artifact regenerated from the JSON, so only
