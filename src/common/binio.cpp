@@ -40,8 +40,14 @@ const std::uint32_t (*crcTables())[256]
 std::uint32_t
 crc32(std::string_view data)
 {
+    return crc32(data, 0);
+}
+
+std::uint32_t
+crc32(std::string_view data, std::uint32_t crc)
+{
     const std::uint32_t(*t)[256] = crcTables();
-    std::uint32_t crc = 0xFFFFFFFFu;
+    crc ^= 0xFFFFFFFFu;
     const char *p = data.data();
     std::size_t n = data.size();
     while (n >= 4) {
@@ -195,6 +201,12 @@ BinReader::readF64()
 std::string
 BinReader::readString()
 {
+    return std::string(readStringView());
+}
+
+std::string_view
+BinReader::readStringView()
+{
     std::uint64_t length = readU64();
     if (failed || length > input.size() - cursor) {
         failed = true;
@@ -202,8 +214,7 @@ BinReader::readString()
     }
     const char *p = nullptr;
     take(static_cast<std::size_t>(length), &p);
-    return failed ? std::string()
-                  : std::string(p, static_cast<std::size_t>(length));
+    return std::string_view(p, static_cast<std::size_t>(length));
 }
 
 std::vector<std::uint32_t>

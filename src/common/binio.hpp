@@ -33,6 +33,14 @@ namespace cloudseer::common {
 /** CRC-32 (reflected, poly 0xEDB88320) of a byte span. */
 std::uint32_t crc32(std::string_view data);
 
+/**
+ * Continue a CRC-32 over the next span: `crc` is the finished CRC of
+ * everything before it (0 for nothing), so
+ * crc32(b, crc32(a)) == crc32(a + b). Lets a writer checksum a frame
+ * assembled from separate buffers without concatenating them.
+ */
+std::uint32_t crc32(std::string_view data, std::uint32_t crc);
+
 /** Append-only little-endian encoder over an owned byte buffer. */
 class BinWriter
 {
@@ -82,6 +90,11 @@ class BinReader
     double readF64();
     bool readBool() { return readU8() != 0; }
     std::string readString();
+
+    /** readString's bytes as a view into the input — no copy; valid
+     *  as long as the input is. */
+    std::string_view readStringView();
+
     std::vector<std::uint32_t> readU32Vector();
     std::vector<std::uint64_t> readU64Vector();
 

@@ -518,7 +518,7 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
 }
 
 std::vector<MonitorReport>
-WorkflowMonitor::feedLine(const std::string &line)
+WorkflowMonitor::feedLine(std::string_view line)
 {
     obs::StageScope profScope(obs::ProfStage::Sink);
     ++ingest.linesSeen;
@@ -556,7 +556,7 @@ WorkflowMonitor::feedLine(const std::string &line)
             break;
         }
         if (quarantined.size() < config.ingest.quarantineSampleCap)
-            quarantined.push_back({line, why});
+            quarantined.push_back({std::string(line), why});
         // Malformed lines never reach feed(), so capture them here —
         // garbage on the wire is exactly what a postmortem wants to
         // see. Stamped with the monitor clock; the line's own

@@ -283,7 +283,7 @@ class WorkflowMonitor
     std::vector<MonitorReport> feed(const logging::LogRecord &record);
 
     /** Feed one raw log line (the Logstash-wire path). */
-    std::vector<MonitorReport> feedLine(const std::string &line);
+    std::vector<MonitorReport> feedLine(std::string_view line);
 
     /**
      * End of stream: flush the reorder buffer, run one final timeout

@@ -96,7 +96,9 @@ IdentifierInterner::restoreState(common::BinReader &in)
     if (!in.ok())
         return false;
     for (std::uint64_t expected = 0; expected < count; ++expected) {
-        std::string entry = in.readString();
+        // Look up by a view into the image; only a text this table
+        // has never seen is copied out of it.
+        std::string_view entry = in.readStringView();
         if (!in.ok())
             return false;
         auto it = index.find(entry);
@@ -105,7 +107,7 @@ IdentifierInterner::restoreState(common::BinReader &in)
             token = it->second;
         } else {
             token = static_cast<IdToken>(tokens.size());
-            tokens.push_back(std::move(entry));
+            tokens.emplace_back(entry);
             index.emplace(tokens.back(), token);
         }
         if (token != static_cast<IdToken>(expected)) {

@@ -20,12 +20,12 @@ readLogRecord(common::BinReader &in, LogRecord &record)
 {
     record.id = in.readU64();
     record.timestamp = in.readF64();
-    record.node = in.readString();
-    record.service = in.readString();
+    record.node.assign(in.readStringView());
+    record.service.assign(in.readStringView());
     std::uint8_t level = in.readU8();
-    record.body = in.readString();
+    record.body.assign(in.readStringView());
     record.truthExecution = in.readU64();
-    record.truthTask = in.readString();
+    record.truthTask.assign(in.readStringView());
     if (!in.ok() ||
         level > static_cast<std::uint8_t>(LogLevel::Critical)) {
         in.fail();

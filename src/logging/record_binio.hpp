@@ -24,7 +24,9 @@ void writeLogRecord(common::BinWriter &out, const LogRecord &record);
 
 /**
  * Decode one record written by writeLogRecord. Returns false (stream
- * marked bad) on truncation or a corrupt level byte.
+ * marked bad) on truncation or a corrupt level byte. The text fields
+ * are assigned in place, so a record reused across calls (ledger
+ * replay) keeps its strings' capacity.
  */
 bool readLogRecord(common::BinReader &in, LogRecord &record);
 

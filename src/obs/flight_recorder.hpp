@@ -94,6 +94,10 @@ class FlightRecorder
      *  object. */
     std::vector<std::string> bundles() const;
 
+    /** Number of retained bundles — bundles().size() without
+     *  rendering them. */
+    std::size_t retainedBundles() const { return store.size(); }
+
     /** Bundles dropped past maxBundles. */
     std::uint64_t droppedBundles() const { return droppedBundleCount; }
 

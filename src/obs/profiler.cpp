@@ -15,6 +15,7 @@
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <signal.h>
+#include <time.h>
 
 namespace cloudseer::obs {
 
@@ -203,6 +204,16 @@ numberField(const std::string &text, const std::string &key,
     return true;
 }
 
+/** CPU seconds this process has used, all threads. */
+double
+processCpuSeconds()
+{
+    struct timespec now = {};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+    return static_cast<double>(now.tv_sec) +
+           static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
 } // namespace
 
 const char *
@@ -242,7 +253,9 @@ Profile::toJson() const
     out.setf(std::ios::fixed);
     out.precision(6);
     out << "{\"kind\": \"PROFILE\", \"hz\": " << hz
+        << ", \"delivered_hz\": " << deliveredHz
         << ", \"duration_s\": " << durationSeconds
+        << ", \"cpu_s\": " << cpuSeconds
         << ", \"samples\": " << samples << ", \"dropped\": " << dropped
         << ", \"tagged_fraction\": " << taggedFraction() << ",\n";
     out << " \"stages\": {";
@@ -288,8 +301,12 @@ parseProfileJson(const std::string &text, Profile &out)
     double value = 0.0;
     if (numberField(text, "hz", value))
         profile.hz = static_cast<int>(value);
+    if (numberField(text, "delivered_hz", value))
+        profile.deliveredHz = value;
     if (numberField(text, "duration_s", value))
         profile.durationSeconds = value;
+    if (numberField(text, "cpu_s", value))
+        profile.cpuSeconds = value;
     if (numberField(text, "samples", value))
         profile.samples = static_cast<std::uint64_t>(value);
     if (numberField(text, "dropped", value))
@@ -432,6 +449,7 @@ Profiler::start()
         return false;
     }
     startTime_ = std::chrono::steady_clock::now();
+    cpuAtStart_ = processCpuSeconds();
     running_ = true;
     return true;
 }
@@ -455,6 +473,7 @@ Profiler::stop()
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - startTime_)
             .count();
+    stoppedCpu_ += processCpuSeconds() - cpuAtStart_;
     running_ = false;
 }
 
@@ -487,6 +506,9 @@ Profiler::collect() const
                            startTime_)
                            .count()
                  : stoppedDuration_;
+    out.cpuSeconds =
+        running_ ? stoppedCpu_ + (processCpuSeconds() - cpuAtStart_)
+                 : stoppedCpu_;
 
     std::uint64_t written =
         std::min<std::uint64_t>(
@@ -558,6 +580,11 @@ Profiler::collect() const
                       return a.stage < b.stage;
                   return a.frames < b.frames;
               });
+
+    if (out.cpuSeconds > 0.0)
+        out.deliveredHz =
+            static_cast<double>(out.samples + out.dropped) /
+            out.cpuSeconds;
 
 #if defined(CLOUDSEER_PROFILE_ALLOC)
     out.allocTracked = true;

@@ -111,8 +111,14 @@ struct ProfileStack
  *  `seer_prof` all consume. */
 struct Profile
 {
-    int hz = 0;
+    int hz = 0; ///< configured SIGPROF rate
     double durationSeconds = 0.0;
+    /** Process CPU time while armed — the clock SIGPROF ticks on. */
+    double cpuSeconds = 0.0;
+    /** Rate the timer actually delivered: (samples + dropped) per
+     *  CPU second. The CPU-time timer can fall well short of `hz`
+     *  at high rates. */
+    double deliveredHz = 0.0;
     std::uint64_t samples = 0; ///< kept samples (excludes dropped)
     std::uint64_t dropped = 0; ///< ring-overflow drops
     std::array<std::uint64_t, kProfStageCount> stageSamples{};
@@ -206,6 +212,8 @@ private:
     struct sigaction oldAction_ = {};
     std::chrono::steady_clock::time_point startTime_{};
     double stoppedDuration_ = 0.0;
+    double cpuAtStart_ = 0.0; ///< process CPU seconds at start()
+    double stoppedCpu_ = 0.0; ///< CPU seconds of finished runs
     bool running_ = false;
 };
 

@@ -1,6 +1,8 @@
 #include "vault/vault.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "logging/record_binio.hpp"
@@ -10,16 +12,13 @@ namespace cloudseer::vault {
 
 namespace {
 
-/** Little-endian u32, matching BinWriter's integer encoding. */
-std::string
-encodeU32(std::uint32_t value)
+/** Little-endian u32 into `out[0..4)`, matching BinWriter's integer
+ *  encoding. */
+void
+putU32(char *out, std::uint32_t value)
 {
-    std::string out(4, '\0');
-    for (int i = 0; i < 4; ++i) {
-        out[static_cast<std::size_t>(i)] =
-            static_cast<char>((value >> (8 * i)) & 0xffu);
-    }
-    return out;
+    for (int i = 0; i < 4; ++i)
+        out[i] = static_cast<char>((value >> (8 * i)) & 0xffu);
 }
 
 std::uint32_t
@@ -37,77 +36,142 @@ decodeU32(const char *bytes)
 /** Magic (8 bytes) + version (u32). */
 constexpr std::size_t kHeaderBytes = 12;
 
+/** Frame header: [u32 len][u32 crc]. */
+constexpr std::size_t kFrameHeaderBytes = 8;
+
 } // namespace
-
-/** One frame's on-disk bytes: [u32 len][u32 crc][payload]. */
-std::string
-frameBytes(const std::string &payload)
-{
-    std::string out =
-        encodeU32(static_cast<std::uint32_t>(payload.size()));
-    out += encodeU32(common::crc32(payload));
-    out += payload;
-    return out;
-}
-
-void
-appendFrame(std::ofstream &out, const std::string &payload)
-{
-    std::string frame = frameBytes(payload);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    out.flush();
-}
 
 bool
 writeFileHeader(std::ofstream &out, const char *magic)
 {
+    char version[4];
+    putU32(version, kVaultVersion);
     out.write(magic, 8);
-    out << encodeU32(kVaultVersion);
+    out.write(version, 4);
     out.flush();
     return out.good();
 }
 
-FrameScan
-scanFrames(const std::string &path, const char *magic)
+void
+writeFrame(std::ofstream &out, std::string_view head, std::string_view body)
 {
-    FrameScan scan;
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-        return scan;
+    char header[kFrameHeaderBytes];
+    putU32(header, static_cast<std::uint32_t>(head.size() + body.size()));
+    putU32(header + 4, common::crc32(body, common::crc32(head)));
+    out.write(header, kFrameHeaderBytes);
+    out.write(head.data(), static_cast<std::streamsize>(head.size()));
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
+}
+
+// --- FrameReader -------------------------------------------------------
+
+FrameReader::FrameReader(const std::string &path, const char *magic,
+                         std::size_t chunk_bytes)
+    : chunk(chunk_bytes)
+{
+    // Unbuffered: every read is at least a chunk and lands straight in
+    // `buffer`, so the stream needs no buffer of its own.
+    in.rdbuf()->pubsetbuf(nullptr, 0);
+    in.open(path, std::ios::binary);
+    if (!in.is_open())
+        return;
+    in.seekg(0, std::ios::end);
+    const std::streamoff size = in.tellg();
+    in.seekg(0, std::ios::beg);
+    fileBytes = size < 0 ? 0 : static_cast<std::uint64_t>(size);
+    if (fileBytes < kHeaderBytes || !fill(kHeaderBytes) ||
+        std::string_view(buffer.data(), 8) != std::string_view(magic, 8) ||
+        decodeU32(buffer.data() + 8) != kVaultVersion) {
+        done = true;
+        return;
     }
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    if (contents.size() < kHeaderBytes ||
-        contents.compare(0, 8, magic, 8) != 0 ||
-        decodeU32(contents.data() + 8) != kVaultVersion) {
-        return scan;
+    header = true;
+    head = kHeaderBytes;
+    frameStart = kHeaderBytes;
+}
+
+bool
+FrameReader::fill(std::size_t n)
+{
+    if (tail - head >= n)
+        return true;
+    // Slide the unconsumed bytes (a partial frame) to the front, then
+    // read up to a full chunk — or the whole frame, if longer.
+    if (head > 0) {
+        std::memmove(buffer.data(), buffer.data() + head, tail - head);
+        tail -= head;
+        head = 0;
     }
-    scan.headerOk = true;
-    std::size_t pos = kHeaderBytes;
-    while (pos < contents.size()) {
-        // A frame shorter than its own header, a length pointing past
-        // EOF, or a checksum mismatch all mark the torn tail left by
-        // a crash mid-append; everything before it is intact.
-        if (contents.size() - pos < 8) {
-            break;
-        }
-        std::size_t len = decodeU32(contents.data() + pos);
-        std::uint32_t crc = decodeU32(contents.data() + pos + 4);
-        if (contents.size() - pos - 8 < len) {
-            break;
-        }
-        std::string payload = contents.substr(pos + 8, len);
-        if (common::crc32(payload) != crc) {
-            break;
-        }
-        scan.frames.push_back(std::move(payload));
-        pos += 8 + len;
+    const std::uint64_t unread = fileBytes - readOffset;
+    const std::uint64_t want =
+        std::min<std::uint64_t>(std::max(n, chunk) - tail, unread);
+    const std::size_t needed = tail + static_cast<std::size_t>(want);
+    if (buffer.size() < needed) {
+        // Grow to exactly what this frame needs — a string's own
+        // resize would double — keeping the unconsumed prefix.
+        std::string grown(needed, '\0');
+        std::memcpy(grown.data(), buffer.data(), tail);
+        buffer.swap(grown);
     }
-    if (pos < contents.size()) {
-        scan.torn = true;
-        scan.tornBytes = contents.size() - pos;
+    in.read(buffer.data() + tail, static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    tail += got;
+    readOffset += got;
+    if (got < want)
+        fileBytes = readOffset; // the file ended early (truncated)
+    return tail - head >= n;
+}
+
+bool
+FrameReader::next(std::string_view &payload)
+{
+    if (done)
+        return false;
+    const std::uint64_t left = fileBytes - frameStart;
+    if (left == 0) {
+        done = true;
+        return false;
     }
-    return scan;
+    // A frame shorter than its own header, a length pointing past
+    // EOF, or a checksum mismatch all mark the torn tail left by a
+    // crash mid-append; everything before it is intact.
+    if (left < kFrameHeaderBytes || !fill(kFrameHeaderBytes)) {
+        stopAt(frameStart);
+        return false;
+    }
+    const std::size_t len = decodeU32(buffer.data() + head);
+    const std::uint32_t crc = decodeU32(buffer.data() + head + 4);
+    if (left - kFrameHeaderBytes < len ||
+        !fill(kFrameHeaderBytes + len)) {
+        stopAt(frameStart);
+        return false;
+    }
+    payload = std::string_view(buffer.data() + head + kFrameHeaderBytes,
+                               len);
+    if (common::crc32(payload) != crc) {
+        stopAt(frameStart);
+        return false;
+    }
+    lastStart = frameStart;
+    frameStart += kFrameHeaderBytes + len;
+    head += kFrameHeaderBytes + len;
+    return true;
+}
+
+void
+FrameReader::rejectLast()
+{
+    stopAt(lastStart);
+}
+
+void
+FrameReader::stopAt(std::uint64_t at)
+{
+    done = true;
+    if (at < fileBytes) {
+        tornTail = true;
+        tornCount = static_cast<std::size_t>(fileBytes - at);
+    }
 }
 
 // --- WriteAheadLedger --------------------------------------------------
@@ -135,14 +199,10 @@ WriteAheadLedger::enqueue()
     // per-input cost is two small memcpys and a CRC pass. scratch and
     // pending both keep their capacity across appends.
     const std::string &payload = scratch.bytes();
-    char header[8];
-    std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-    std::uint32_t crc = common::crc32(payload);
-    for (int i = 0; i < 4; ++i) {
-        header[i] = static_cast<char>((len >> (8 * i)) & 0xffu);
-        header[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xffu);
-    }
-    pending.append(header, 8);
+    char header[kFrameHeaderBytes];
+    putU32(header, static_cast<std::uint32_t>(payload.size()));
+    putU32(header + 4, common::crc32(payload));
+    pending.append(header, kFrameHeaderBytes);
     pending += payload;
     if (pending.size() >= kGroupCommitBytes)
         flush();
@@ -164,20 +224,15 @@ WriteAheadLedger::sealFrame(std::size_t start)
 {
     std::string_view payload(pending.data() + start + 8,
                              pending.size() - start - 8);
-    auto len = static_cast<std::uint32_t>(payload.size());
-    std::uint32_t crc = common::crc32(payload);
-    for (int i = 0; i < 4; ++i) {
-        pending[start + static_cast<std::size_t>(i)] =
-            static_cast<char>((len >> (8 * i)) & 0xffu);
-        pending[start + static_cast<std::size_t>(4 + i)] =
-            static_cast<char>((crc >> (8 * i)) & 0xffu);
-    }
+    putU32(pending.data() + start,
+           static_cast<std::uint32_t>(payload.size()));
+    putU32(pending.data() + start + 4, common::crc32(payload));
     if (pending.size() >= kGroupCommitBytes)
         flush();
 }
 
 void
-WriteAheadLedger::appendLine(std::uint64_t seq, const std::string &line)
+WriteAheadLedger::appendLine(std::uint64_t seq, std::string_view line)
 {
     obs::StageScope profScope(obs::ProfStage::WalAppend);
     // Raw lines are the ingest hot path: frame straight into the
@@ -247,37 +302,48 @@ WriteAheadLedger::bytes() const
            pending.size();
 }
 
+bool
+nextLedgerInput(FrameReader &frames, LedgerInputView &input)
+{
+    std::string_view payload;
+    if (!frames.next(payload))
+        return false;
+    common::BinReader in(payload);
+    std::uint8_t kind = in.readU8();
+    input.seq = in.readU64();
+    if (kind == static_cast<std::uint8_t>(LedgerEntry::RawLine)) {
+        input.kind = LedgerEntry::RawLine;
+        input.line = in.readStringView();
+    } else if (kind == static_cast<std::uint8_t>(LedgerEntry::Record)) {
+        input.kind = LedgerEntry::Record;
+        logging::readLogRecord(in, input.record);
+    } else {
+        in.fail();
+    }
+    if (!in.ok()) {
+        frames.rejectLast();
+        return false;
+    }
+    return true;
+}
+
 LedgerScan
 readLedger(const std::string &path)
 {
     LedgerScan scan;
-    FrameScan frames = scanFrames(path, kLedgerMagic);
-    scan.headerOk = frames.headerOk;
-    scan.torn = frames.torn;
-    for (const std::string &payload : frames.frames) {
-        common::BinReader in(payload);
-        LedgerInput input;
-        std::uint8_t kind = in.readU8();
-        input.seq = in.readU64();
-        if (kind == static_cast<std::uint8_t>(LedgerEntry::RawLine)) {
-            input.kind = LedgerEntry::RawLine;
-            input.line = in.readString();
-        } else if (kind ==
-                   static_cast<std::uint8_t>(LedgerEntry::Record)) {
-            input.kind = LedgerEntry::Record;
-            logging::readLogRecord(in, input.record);
-        } else {
-            in.fail();
-        }
-        // A frame that passed its CRC but fails to decode means a
-        // writer bug or version skew, not a crash; treat it like a
-        // torn tail so replay never feeds garbage to the monitor.
-        if (!in.ok()) {
-            scan.torn = true;
-            break;
-        }
-        scan.inputs.push_back(std::move(input));
+    FrameReader frames(path, kLedgerMagic);
+    LedgerInputView view;
+    while (nextLedgerInput(frames, view)) {
+        LedgerInput &input = scan.inputs.emplace_back();
+        input.kind = view.kind;
+        input.seq = view.seq;
+        if (view.kind == LedgerEntry::RawLine)
+            input.line = view.line;
+        else
+            input.record = view.record;
     }
+    scan.headerOk = frames.headerOk();
+    scan.torn = frames.torn();
     return scan;
 }
 
@@ -286,8 +352,8 @@ readLedger(const std::string &path)
 std::uint64_t
 writeCheckpoint(
     const std::string &path,
-    const std::vector<std::pair<CheckpointSection, std::string>>
-        &sections)
+    std::initializer_list<std::pair<CheckpointSection, std::string_view>>
+        sections)
 {
     const std::string tmp = path + ".tmp";
     {
@@ -296,17 +362,16 @@ writeCheckpoint(
             !writeFileHeader(out, kCheckpointMagic)) {
             return 0;
         }
+        char kind_word[4];
         for (const auto &[kind, body] : sections) {
-            std::string payload =
-                encodeU32(static_cast<std::uint32_t>(kind));
-            payload += body;
-            appendFrame(out, payload);
+            putU32(kind_word, static_cast<std::uint32_t>(kind));
+            writeFrame(out, std::string_view(kind_word, 4), body);
         }
-        appendFrame(
-            out,
-            encodeU32(static_cast<std::uint32_t>(
-                CheckpointSection::End)));
-        if (!out.good()) {
+        putU32(kind_word,
+               static_cast<std::uint32_t>(CheckpointSection::End));
+        writeFrame(out, std::string_view(kind_word, 4));
+        out.close();
+        if (out.fail()) {
             return 0;
         }
     }
@@ -318,27 +383,53 @@ writeCheckpoint(
     return static_cast<std::uint64_t>(size);
 }
 
-CheckpointScan
-readCheckpoint(const std::string &path)
+CheckpointImage::CheckpointImage(const std::string &path)
+    : frames(path, kCheckpointMagic, FrameReader::kWholeFile)
 {
-    CheckpointScan scan;
-    FrameScan frames = scanFrames(path, kCheckpointMagic);
-    scan.headerOk = frames.headerOk;
-    for (const std::string &payload : frames.frames) {
+    std::string_view payload;
+    while (frames.next(payload)) {
         if (payload.size() < 4) {
             break;
         }
         auto kind = static_cast<CheckpointSection>(
             decodeU32(payload.data()));
         if (kind == CheckpointSection::End) {
-            scan.complete = true;
+            hasEnd = true;
             break;
         }
-        std::string body = payload.substr(4);
+        std::string_view body = payload.substr(4);
         if (kind == CheckpointSection::Meta) {
-            scan.hasMeta = decodeMeta(body, scan.meta);
+            hasMeta = decodeMeta(body, metaFields);
         }
-        scan.sections.emplace_back(kind, std::move(body));
+        parsed.emplace_back(kind, body);
+    }
+}
+
+const std::string_view *
+CheckpointImage::section(CheckpointSection kind) const
+{
+    const std::string_view *found = nullptr;
+    for (const auto &[k, body] : parsed) {
+        if (k == kind) {
+            found = &body;
+        }
+    }
+    return found;
+}
+
+CheckpointScan
+readCheckpoint(const std::string &path)
+{
+    CheckpointImage image(path);
+    CheckpointScan scan;
+    scan.headerOk = image.headerOk();
+    scan.complete = image.complete();
+    if (image.meta() != nullptr) {
+        scan.hasMeta = true;
+        scan.meta = *image.meta();
+    }
+    for (const auto &[kind, body] : image.sections()) {
+        scan.sections.emplace_back(kind, std::string(body));
     }
     return scan;
 }
@@ -354,7 +445,7 @@ encodeMeta(const CheckpointMeta &meta)
 }
 
 bool
-decodeMeta(const std::string &payload, CheckpointMeta &meta)
+decodeMeta(std::string_view payload, CheckpointMeta &meta)
 {
     common::BinReader in(payload);
     meta.modelFingerprint = in.readU64();

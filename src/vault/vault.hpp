@@ -14,6 +14,12 @@
  *    so a crash mid-checkpoint leaves the previous checkpoint intact.
  *
  * Restore = load the newest checkpoint, then replay the ledger tail.
+ * Both files are read through one FrameReader: the checkpoint once
+ * into one buffer, parsed in place; the ledger in bounded chunks,
+ * each frame replayed before the next is read, so restore memory is
+ * bounded by the largest frame rather than by the tail's length.
+ * Checkpoints are written from the section encoders' buffers
+ * straight to the file (a continued CRC spans kind word and body).
  * Every ledger frame carries the absolute input sequence number and
  * the checkpoint records the sequence it covers, so replay skips
  * already-absorbed inputs — which makes the crash window between
@@ -37,7 +43,10 @@
 
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -122,28 +131,86 @@ struct CheckpointMeta
 
 // --- frame codec -------------------------------------------------------
 
-/** Append one `[u32 len][u32 crc][payload]` frame and flush. */
-void appendFrame(std::ofstream &out, const std::string &payload);
-
-/** Result of scanning a framed file. */
-struct FrameScan
-{
-    bool headerOk = false;  ///< magic + version matched
-    bool torn = false;      ///< trailing bytes failed length/CRC checks
-    std::size_t tornBytes = 0; ///< bytes discarded at the tail
-    std::vector<std::string> frames; ///< intact payloads, in order
-};
-
-/**
- * Read every intact frame of a vault file. A bad header yields
- * headerOk=false and no frames; a torn tail (truncated frame or CRC
- * mismatch — the crash signature) stops the scan cleanly with
- * torn=true. Bytes after a torn frame are never interpreted.
- */
-FrameScan scanFrames(const std::string &path, const char *magic);
-
 /** Write a fresh framed file: magic + version header only. */
 bool writeFileHeader(std::ofstream &out, const char *magic);
+
+/**
+ * Write one `[u32 len][u32 crc][payload]` frame whose payload is
+ * `head` followed by `body`. The CRC is continued from one span to
+ * the next, so the payload is never assembled in memory: a checkpoint
+ * section goes to the file straight from its encoder's buffer.
+ */
+void writeFrame(std::ofstream &out, std::string_view head,
+                std::string_view body = {});
+
+/**
+ * Sequential reader over a framed vault file: checks each frame's
+ * `[u32 len][u32 crc]` and yields its payload as a view.
+ *
+ * The file is read in chunks into one reused buffer, which grows only
+ * when a frame is longer than a chunk — so scanning a ledger of any
+ * length holds at most max(chunk, largest frame) bytes. A bad header
+ * yields headerOk()=false and no frames. A frame shorter than its own
+ * header, a length pointing past EOF, or a checksum mismatch marks
+ * the torn tail a crash mid-append leaves: the scan stops there with
+ * torn()=true, and bytes after it are never interpreted.
+ */
+class FrameReader
+{
+  public:
+    /** Chunk size that reads the whole file on the first fill; the
+     *  buffer then never moves, so every payload view stays valid for
+     *  the reader's lifetime. */
+    static constexpr std::size_t kWholeFile = static_cast<std::size_t>(-1);
+
+    FrameReader(const std::string &path, const char *magic,
+                std::size_t chunk_bytes = kGroupCommitBytes);
+
+    /** Magic + version matched. */
+    bool headerOk() const { return header; }
+
+    /**
+     * Advance to the next intact frame. False at the end of the
+     * intact prefix (clean EOF or torn tail). `payload` views the
+     * reader's buffer and is valid until the next call.
+     */
+    bool next(std::string_view &payload);
+
+    /**
+     * The frame next() just returned passed its CRC but does not
+     * decode — a writer bug or version skew, not a crash. Treat it as
+     * the start of the torn tail so nothing after it is used.
+     */
+    void rejectLast();
+
+    /** The scan stopped before EOF. */
+    bool torn() const { return tornTail; }
+
+    /** Bytes from the first unaccepted frame to EOF. */
+    std::size_t tornBytes() const { return tornCount; }
+
+  private:
+    std::ifstream in;
+    std::string buffer;
+    std::size_t chunk;
+    std::size_t head = 0; ///< buffer offset of frameStart
+    std::size_t tail = 0; ///< end of the bytes read so far
+    std::uint64_t fileBytes = 0;
+    std::uint64_t readOffset = 0; ///< file offset of buffer[tail]
+    std::uint64_t frameStart = 0; ///< file offset of the next frame
+    std::uint64_t lastStart = 0;  ///< file offset of the last frame
+    bool header = false;
+    bool done = false;
+    bool tornTail = false;
+    std::size_t tornCount = 0;
+
+    /** Make at least `n` bytes from frameStart available in the
+     *  buffer; false when the file ends first. */
+    bool fill(std::size_t n);
+
+    /** End the scan at `at`: anything from there to EOF is torn. */
+    void stopAt(std::uint64_t at);
+};
 
 // --- the write-ahead ledger -------------------------------------------
 
@@ -166,7 +233,7 @@ class WriteAheadLedger
     bool open();
 
     /** Append one raw wire line under the given sequence. */
-    void appendLine(std::uint64_t seq, const std::string &line);
+    void appendLine(std::uint64_t seq, std::string_view line);
 
     /** Append one record under the given sequence. */
     void appendRecord(std::uint64_t seq,
@@ -203,7 +270,25 @@ class WriteAheadLedger
     void sealFrame(std::size_t start);
 };
 
-/** One decoded ledger entry. */
+/** One ledger entry decoded in place (recovery's replay). */
+struct LedgerInputView
+{
+    LedgerEntry kind = LedgerEntry::Record;
+    std::uint64_t seq = 0;
+    std::string_view line;     ///< RawLine payload, views the reader
+    logging::LogRecord record; ///< Record payload, reassigned in place
+};
+
+/**
+ * Decode the reader's next intact ledger frame into `input`. False at
+ * the end of the intact prefix; a frame that passes its CRC but does
+ * not decode ends it too (FrameReader::rejectLast), so replay never
+ * feeds garbage to the monitor. Reusing one `input` across calls
+ * keeps the record's strings' capacity.
+ */
+bool nextLedgerInput(FrameReader &frames, LedgerInputView &input);
+
+/** One decoded ledger entry, owning its payload. */
 struct LedgerInput
 {
     LedgerEntry kind = LedgerEntry::Record;
@@ -220,7 +305,8 @@ struct LedgerScan
     std::vector<LedgerInput> inputs; ///< intact entries, in seq order
 };
 
-/** Decode every intact entry of a ledger file. */
+/** Decode every intact entry of a ledger file into memory (operator
+ *  tooling; recovery streams with nextLedgerInput instead). */
 LedgerScan readLedger(const std::string &path);
 
 // --- checkpoint files --------------------------------------------------
@@ -229,15 +315,60 @@ LedgerScan readLedger(const std::string &path);
  * Write a checkpoint image atomically: sections are framed into
  * `path.tmp`, terminated by an End section, then renamed over `path`.
  * Returns the image size in bytes (0 on failure). `sections` pairs
- * each CheckpointSection with its serialised payload (Meta first by
- * convention; readers locate sections by kind, not position).
+ * each CheckpointSection with a view of its serialised body (Meta
+ * first by convention; readers locate sections by kind, not
+ * position). Bodies are written straight from the caller's buffers.
  */
 std::uint64_t writeCheckpoint(
     const std::string &path,
-    const std::vector<std::pair<CheckpointSection, std::string>>
-        &sections);
+    std::initializer_list<std::pair<CheckpointSection, std::string_view>>
+        sections);
 
-/** Decoded checkpoint image. */
+/**
+ * A checkpoint file read once into one buffer and parsed in place:
+ * section bodies are views of that buffer, valid while the image
+ * lives. CRC-checked and torn-tail tolerant; parsing stops at the End
+ * section.
+ */
+class CheckpointImage
+{
+  public:
+    explicit CheckpointImage(const std::string &path);
+
+    // Section views point into `frames`' buffer.
+    CheckpointImage(const CheckpointImage &) = delete;
+    CheckpointImage &operator=(const CheckpointImage &) = delete;
+
+    bool headerOk() const { return frames.headerOk(); }
+
+    /** End section present (the image is whole). */
+    bool complete() const { return hasEnd; }
+
+    /** The decoded Meta section; null when absent or malformed. */
+    const CheckpointMeta *meta() const
+    {
+        return hasMeta ? &metaFields : nullptr;
+    }
+
+    /** Sections before End, in file order. */
+    const std::vector<std::pair<CheckpointSection, std::string_view>> &
+    sections() const
+    {
+        return parsed;
+    }
+
+    /** Body of the last section of `kind`; null when absent. */
+    const std::string_view *section(CheckpointSection kind) const;
+
+  private:
+    FrameReader frames;
+    std::vector<std::pair<CheckpointSection, std::string_view>> parsed;
+    CheckpointMeta metaFields;
+    bool hasMeta = false;
+    bool hasEnd = false;
+};
+
+/** Decoded checkpoint image, owning copies of its sections. */
 struct CheckpointScan
 {
     bool headerOk = false;
@@ -247,14 +378,15 @@ struct CheckpointScan
     std::vector<std::pair<CheckpointSection, std::string>> sections;
 };
 
-/** Decode a checkpoint file (CRC-checked, torn-tail tolerant). */
+/** Decode a checkpoint file into owned copies (operator tooling;
+ *  recovery parses a CheckpointImage in place instead). */
 CheckpointScan readCheckpoint(const std::string &path);
 
 /** Serialise a Meta section payload. */
 std::string encodeMeta(const CheckpointMeta &meta);
 
 /** Decode a Meta section payload. */
-bool decodeMeta(const std::string &payload, CheckpointMeta &meta);
+bool decodeMeta(std::string_view payload, CheckpointMeta &meta);
 
 /** `directory`/checkpoint.ckpt */
 std::string checkpointPath(const std::string &directory);

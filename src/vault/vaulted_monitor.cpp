@@ -59,23 +59,21 @@ VaultedMonitor::recover()
 
     if (have_checkpoint) {
         recoverInfo.attempted = true;
-        CheckpointScan scan = readCheckpoint(ckpt_path);
-        if (!scan.headerOk || !scan.complete || !scan.hasMeta) {
+        // The image lives only in this block: its buffer is freed
+        // before the ledger tail replays.
+        CheckpointImage image(ckpt_path);
+        const CheckpointMeta *meta = image.meta();
+        if (!image.headerOk() || !image.complete() || meta == nullptr) {
             recoverInfo.error = "checkpoint unreadable or incomplete";
-        } else if (scan.meta.modelFingerprint !=
+        } else if (meta->modelFingerprint !=
                    monitorPtr->modelFingerprint()) {
             recoverInfo.error =
                 "checkpoint model fingerprint mismatch";
         } else {
-            const std::string *interner_body = nullptr;
-            const std::string *monitor_body = nullptr;
-            for (const auto &[kind, body] : scan.sections) {
-                if (kind == CheckpointSection::Interner) {
-                    interner_body = &body;
-                } else if (kind == CheckpointSection::Monitor) {
-                    monitor_body = &body;
-                }
-            }
+            const std::string_view *interner_body =
+                image.section(CheckpointSection::Interner);
+            const std::string_view *monitor_body =
+                image.section(CheckpointSection::Monitor);
             if (interner_body == nullptr || monitor_body == nullptr) {
                 recoverInfo.error = "checkpoint missing a section";
             } else {
@@ -92,8 +90,8 @@ VaultedMonitor::recover()
                     resetMonitor();
                 } else {
                     recoverInfo.recovered = true;
-                    recoverInfo.checkpointSeq = scan.meta.coveredSeq;
-                    nextSeq = scan.meta.coveredSeq;
+                    recoverInfo.checkpointSeq = meta->coveredSeq;
+                    nextSeq = meta->coveredSeq;
                 }
             }
         }
@@ -117,13 +115,15 @@ VaultedMonitor::recover()
     }
     recoverInfo.lastReplayedSeq = recoverInfo.checkpointSeq;
 
-    // Replay the ledger tail. Frames at or below the checkpoint's
-    // covered seq are already absorbed by the image (they linger
-    // only after a crash between checkpoint-rename and ledger-
-    // rotate) and are skipped.
-    LedgerScan tail = readLedger(ledger->filePath());
-    recoverInfo.ledgerTorn = tail.torn;
-    for (const LedgerInput &input : tail.inputs) {
+    // Replay the ledger tail, one frame at a time: each is read,
+    // checked and fed before the next is read, so replay holds one
+    // frame, not the tail. Frames at or below the checkpoint's covered
+    // seq are already absorbed by the image (they linger only after a
+    // crash between checkpoint-rename and ledger-rotate) and are
+    // skipped.
+    FrameReader tail(ledger->filePath(), kLedgerMagic);
+    LedgerInputView input;
+    while (nextLedgerInput(tail, input)) {
         if (input.seq <= recoverInfo.checkpointSeq) {
             continue;
         }
@@ -141,6 +141,7 @@ VaultedMonitor::recover()
         nextSeq = input.seq;
         recoverInfo.recovered = true;
     }
+    recoverInfo.ledgerTorn = tail.torn();
 }
 
 void
@@ -181,7 +182,7 @@ VaultedMonitor::feed(const logging::LogRecord &record)
 }
 
 std::vector<core::MonitorReport>
-VaultedMonitor::feedLine(const std::string &line)
+VaultedMonitor::feedLine(std::string_view line)
 {
     if (!config.enabled()) {
         return monitorPtr->feedLine(line);
@@ -222,20 +223,20 @@ VaultedMonitor::checkpoint()
     meta.coveredSeq = nextSeq;
     meta.monitorTime = monitorPtr->lastTime();
 
-    common::BinWriter interner_out;
-    logging::IdentifierInterner::process().snapshotState(interner_out);
-    common::BinWriter monitor_out;
-    monitorPtr->saveState(monitor_out);
+    // The encoders are members: cleared here, never freed, so each
+    // checkpoint reuses the capacity the last one grew, and
+    // writeCheckpoint frames their bytes straight into the file.
+    internerImage.clear();
+    logging::IdentifierInterner::process().snapshotState(internerImage);
+    monitorImage.clear();
+    monitorPtr->saveState(monitorImage);
+    const std::string meta_bytes = encodeMeta(meta);
 
-    std::vector<std::pair<CheckpointSection, std::string>> sections;
-    sections.emplace_back(CheckpointSection::Meta, encodeMeta(meta));
-    sections.emplace_back(CheckpointSection::Interner,
-                          interner_out.takeBytes());
-    sections.emplace_back(CheckpointSection::Monitor,
-                          monitor_out.takeBytes());
-
-    std::uint64_t bytes =
-        writeCheckpoint(checkpointPath(config.directory), sections);
+    std::uint64_t bytes = writeCheckpoint(
+        checkpointPath(config.directory),
+        {{CheckpointSection::Meta, meta_bytes},
+         {CheckpointSection::Interner, internerImage.bytes()},
+         {CheckpointSection::Monitor, monitorImage.bytes()}});
     if (bytes == 0) {
         return false;
     }

@@ -23,6 +23,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/monitor/workflow_monitor.hpp"
@@ -89,7 +90,7 @@ class VaultedMonitor
     feed(const logging::LogRecord &record);
 
     /** Ledger the raw line, feed it, maybe checkpoint. */
-    std::vector<core::MonitorReport> feedLine(const std::string &line);
+    std::vector<core::MonitorReport> feedLine(std::string_view line);
 
     /**
      * Delegate finish(), then (when enabled) checkpoint the final
@@ -134,6 +135,10 @@ class VaultedMonitor
     VaultStats tallies;
     std::uint64_t nextSeq = 0; ///< seq of the last ledgered input
     std::uint64_t inputsSinceCheckpoint = 0;
+
+    // Checkpoint section encoders, reused across checkpoints.
+    common::BinWriter internerImage;
+    common::BinWriter monitorImage;
 
     // seer-pulse (DESIGN.md §16): sampled ledger append latency, fed
     // into the monitor's seer_wal_append_us histogram. Null unless the

@@ -12,7 +12,11 @@
  * one UID) to a per-line budget. A second test arms the flight recorder
  * and holds the calls that freeze a forensic bundle to the allocations
  * the same calls make without the recorder. A third holds the checker's
- * forking and repairing calls on a fork-heavy stream to a budget.
+ * forking and repairing calls on a fork-heavy stream to a budget. A
+ * fourth kills a vaulted monitor with a short and a four-times longer
+ * ledger tail and holds recovery to the same per-line budget, and its
+ * peak heap to a bound that does not grow with the tail: the counter
+ * also tracks live bytes (malloc_usable_size) for that.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +25,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <new>
+
+#include <malloc.h>
 
 #include "collect/stream_merger.hpp"
 #include "collect/stream_perturber.hpp"
@@ -32,19 +40,36 @@
 #include "logging/log_codec.hpp"
 #include "logging/variable_extractor.hpp"
 #include "sim/simulation.hpp"
+#include "vault/vaulted_monitor.hpp"
 #include "workload/workload_generator.hpp"
 
 namespace {
 
 bool counting = false;
 std::uint64_t allocations = 0;
+// Live and peak heap through operator new, counted at all times.
+std::int64_t liveBytes = 0;
+std::int64_t peakBytes = 0;
 
 void *
 countedAlloc(std::size_t n) noexcept
 {
     if (counting)
         ++allocations;
-    return std::malloc(n == 0 ? 1 : n);
+    void *p = std::malloc(n == 0 ? 1 : n);
+    if (p != nullptr) {
+        liveBytes += static_cast<std::int64_t>(malloc_usable_size(p));
+        peakBytes = std::max(peakBytes, liveBytes);
+    }
+    return p;
+}
+
+void
+countedFree(void *p) noexcept
+{
+    if (p != nullptr)
+        liveBytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+    std::free(p);
 }
 
 void *
@@ -73,19 +98,19 @@ operator new[](std::size_t n, const std::nothrow_t &) noexcept
 {
     return countedAlloc(n);
 }
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
 void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace {
@@ -145,10 +170,11 @@ table6Records(std::uint64_t seed, int tasks_per_user = 24)
 
 /** Wire lines of a seeded Table 3 group-6 run, in collector order. */
 std::vector<std::string>
-table6Lines(std::uint64_t seed)
+table6Lines(std::uint64_t seed, int tasks_per_user = 24)
 {
     std::vector<std::string> lines;
-    for (const logging::LogRecord &record : table6Records(seed))
+    for (const logging::LogRecord &record :
+         table6Records(seed, tasks_per_user))
         lines.push_back(logging::encodeLogLine(record));
     return lines;
 }
@@ -171,6 +197,58 @@ allocationsPerLine(const std::vector<std::string> &lines,
     }
     return static_cast<double>(allocations) /
            static_cast<double>(lines.size() - warm);
+}
+
+/** What restoring a killed vaulted monitor cost. */
+struct RecoveryCost
+{
+    std::uint64_t replayed = 0;
+    std::uint64_t allocations = 0;
+    /** Peak live heap during construction, above what the recovered
+     *  monitor holds once it returns. */
+    std::int64_t peakAboveRestored = 0;
+};
+
+/**
+ * Feed `lines[0, checkpointed)` through a vaulted monitor, checkpoint,
+ * feed `tail` more lines and kill it (destroy without finish); then
+ * measure the construction that recovers from that directory.
+ */
+RecoveryCost
+recoverAfterTail(const std::vector<std::string> &lines,
+                 std::size_t checkpointed, std::size_t tail,
+                 const std::string &dir)
+{
+    std::filesystem::remove_all(dir);
+    vault::VaultConfig vault_config;
+    vault_config.directory = dir;
+    {
+        vault::VaultedMonitor first(vault_config, core::MonitorConfig{},
+                                    models().catalog,
+                                    models().automataCopy());
+        for (std::size_t i = 0; i < checkpointed; ++i)
+            first.feedLine(lines[i]);
+        first.checkpoint();
+        for (std::size_t i = checkpointed; i < checkpointed + tail; ++i)
+            first.feedLine(lines[i]);
+    }
+    std::vector<core::TaskAutomaton> automata = models().automataCopy();
+    RecoveryCost cost;
+    peakBytes = liveBytes;
+    allocations = 0;
+    counting = true;
+    auto restored = std::make_unique<vault::VaultedMonitor>(
+        vault_config, core::MonitorConfig{}, models().catalog,
+        std::move(automata));
+    counting = false;
+    cost.allocations = allocations;
+    cost.peakAboveRestored = peakBytes - liveBytes;
+    cost.replayed = restored->recovery().replayedInputs;
+    EXPECT_TRUE(restored->recovery().recovered)
+        << restored->recovery().error;
+    restored.reset();
+    std::filesystem::remove_all(dir);
+    return cost;
 }
 
 } // namespace
@@ -378,4 +456,70 @@ TEST(AllocBudget, ForkingAndRepairingReuseRetiredGroups)
                 static_cast<unsigned long long>(otherCalls),
                 kForkRepairBudgetPerCall);
     EXPECT_LE(forkRepairRate, kForkRepairBudgetPerCall);
+}
+
+TEST(AllocBudget, RecoveryStreamsTheLedgerTail)
+{
+    const std::vector<std::string> lines = table6Lines(1, 96);
+    constexpr std::size_t kCheckpointed = 400;
+    constexpr std::size_t kTail = 400;
+    ASSERT_GE(lines.size(), kCheckpointed + 4 * kTail);
+    {
+        // Intern every identifier first, so the interner image every
+        // checkpoint carries is the same size in all three runs.
+        core::WorkflowMonitor primer(core::MonitorConfig{},
+                                     models().catalog,
+                                     models().automataCopy());
+        for (const std::string &line : lines)
+            primer.feedLine(line);
+    }
+    std::size_t largestFrame = 0;
+    for (std::size_t i = kCheckpointed; i < kCheckpointed + 4 * kTail; ++i)
+        largestFrame = std::max(largestFrame, lines[i].size() + 8 + 17);
+
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "cloudseer_alloc_vault")
+            .string();
+    const RecoveryCost none =
+        recoverAfterTail(lines, kCheckpointed, 0, dir);
+    const RecoveryCost shortTail =
+        recoverAfterTail(lines, kCheckpointed, kTail, dir);
+    const RecoveryCost longTail =
+        recoverAfterTail(lines, kCheckpointed, 4 * kTail, dir);
+    ASSERT_EQ(none.replayed, 0u);
+    ASSERT_EQ(shortTail.replayed, kTail);
+    ASSERT_EQ(longTail.replayed, 4 * kTail);
+
+    const double perLine =
+        static_cast<double>(longTail.allocations - shortTail.allocations) /
+        static_cast<double>(longTail.replayed - shortTail.replayed);
+    std::printf("recovery allocations: %llu with no tail, %llu over %llu "
+                "lines, %llu over %llu lines (%.3f per extra line, "
+                "budget %.1f)\n",
+                static_cast<unsigned long long>(none.allocations),
+                static_cast<unsigned long long>(shortTail.allocations),
+                static_cast<unsigned long long>(shortTail.replayed),
+                static_cast<unsigned long long>(longTail.allocations),
+                static_cast<unsigned long long>(longTail.replayed), perLine,
+                kBudgetPerLine);
+    std::printf("recovery peak above the restored state: %lld bytes with "
+                "no tail, %lld and %lld with the tails (largest frame "
+                "%zu bytes)\n",
+                static_cast<long long>(none.peakAboveRestored),
+                static_cast<long long>(shortTail.peakAboveRestored),
+                static_cast<long long>(longTail.peakAboveRestored),
+                largestFrame);
+
+    // Replay costs what the live path costs per line; the rest is the
+    // fixed cost of a recovery with nothing to replay.
+    EXPECT_LE(perLine, kBudgetPerLine);
+    for (const RecoveryCost *cost : {&shortTail, &longTail})
+        EXPECT_LE(static_cast<double>(cost->allocations),
+                  static_cast<double>(none.allocations) +
+                      kBudgetPerLine * static_cast<double>(cost->replayed));
+    // Replay holds one frame at a time: four times the tail may not
+    // raise the peak by more than a frame and a read chunk's slack.
+    EXPECT_LE(longTail.peakAboveRestored,
+              shortTail.peakAboveRestored +
+                  static_cast<std::int64_t>(largestFrame) + 64 * 1024);
 }

@@ -988,6 +988,7 @@ TEST(PinnedBundles, BundleBytesAndOrderArePinned)
     // drop count.
     ASSERT_EQ(run.lines.size(), 1922u);
     EXPECT_EQ(flight.bundles().size(), 8u);
+    EXPECT_EQ(flight.retainedBundles(), 8u);
     EXPECT_EQ(flight.droppedBundles(), 52u);
     EXPECT_EQ(bundles.size(), 74328u);
     EXPECT_EQ(fnv1aHex(bundles), "d462e9eab158e4ad");
@@ -1000,7 +1001,7 @@ TEST(PinnedBundles, FrozenBundlesOutliveRingOverwrites)
     PinnedFlightRun run(64);
     const obs::FlightRecorder &flight = *run.monitor->flightRecorder();
     std::size_t at = 0;
-    while (at < run.lines.size() && flight.bundles().size() < 8)
+    while (at < run.lines.size() && flight.retainedBundles() < 8)
         run.monitor->feedLine(run.lines[at++]);
     const std::vector<std::string> before = flight.bundles();
     ASSERT_EQ(before.size(), 8u);

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -293,6 +294,43 @@ TEST(ProfilerTest, SamplesBusyLoopUnderItsStageTag)
     }
     EXPECT_NEAR(parsed.taggedFraction(), profile.taggedFraction(),
                 1e-9);
+}
+
+TEST(ProfilerTest, RecordsTheRateItDelivered)
+{
+    // The timer ticks on process CPU time, so the delivered rate is
+    // the samples over the CPU seconds the profiler was armed. It can
+    // fall short of the configured rate, never exceed it by more than
+    // the tick in flight at either end.
+    ProfilerConfig config;
+    config.enabled = true;
+    config.hz = 997;
+    Profiler profiler(config);
+    ASSERT_TRUE(profiler.start());
+    burnCpu(0.3);
+    Profile live = profiler.collect(); // while running
+    burnCpu(0.1);
+    profiler.stop();
+
+    Profile profile = profiler.collect();
+    ASSERT_GT(profile.samples, 0u);
+    EXPECT_EQ(profile.hz, 997);
+    EXPECT_GE(profile.cpuSeconds, 0.3);
+    EXPECT_GT(profile.cpuSeconds, live.cpuSeconds);
+    EXPECT_DOUBLE_EQ(profile.deliveredHz,
+                     static_cast<double>(profile.samples +
+                                         profile.dropped) /
+                         profile.cpuSeconds);
+    EXPECT_GT(profile.deliveredHz, 0.0);
+    EXPECT_LE(profile.deliveredHz, 1.05 * profile.hz);
+    std::printf("delivered %.1f Hz of %d Hz configured over %.3f CPU s\n",
+                profile.deliveredHz, profile.hz, profile.cpuSeconds);
+
+    // Both figures survive the JSON round trip (six decimals).
+    Profile parsed;
+    ASSERT_TRUE(parseProfileJson(profile.toJson(), parsed));
+    EXPECT_NEAR(parsed.deliveredHz, profile.deliveredHz, 1e-6);
+    EXPECT_NEAR(parsed.cpuSeconds, profile.cpuSeconds, 1e-6);
 }
 
 TEST(ProfilerTest, ParseRejectsNonProfileDocuments)

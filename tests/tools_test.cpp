@@ -565,6 +565,8 @@ syntheticProfile(std::uint64_t check, std::uint64_t sink,
     obs::Profile profile;
     profile.hz = 99;
     profile.durationSeconds = 2.0;
+    profile.cpuSeconds = 0.25;
+    profile.deliveredHz = 84.0;
     profile.samples = check + sink + untagged;
     profile.dropped = 1;
     profile.stageSamples[static_cast<std::size_t>(
@@ -604,6 +606,9 @@ TEST(ProfTool, TopRendersStageTableAndMinTaggedGate)
     RunResult result = run(bin + " top " + path);
     EXPECT_EQ(result.status, 0) << result.output;
     EXPECT_NE(result.output.find("20 samples at 99 Hz"),
+              std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("delivered: 84.0 Hz over 0.250 CPU s"),
               std::string::npos)
         << result.output;
     EXPECT_NE(result.output.find("90.0% tagged"), std::string::npos)

@@ -8,6 +8,10 @@
  * over the same directory emits verdicts bit-identical to an
  * uninterrupted run, for randomized kill points, checkpoint cadences,
  * torn ledger tails, and models with and without latency profiles.
+ * A seeded mutation loop (flipped, truncated, spliced and re-sealed
+ * vault files) holds the streaming frame reader to the whole-file
+ * scanner it replaced, and every restore over a mutant to "recovered
+ * or refused, never a crash".
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +26,8 @@
 #include "core/monitor/report_json.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "logging/identifier_interner.hpp"
+#include "logging/log_codec.hpp"
+#include "logging/record_binio.hpp"
 #include "vault/vault.hpp"
 #include "vault/vaulted_monitor.hpp"
 
@@ -63,6 +69,57 @@ referenceCrc32(std::string_view data)
             crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
     }
     return crc ^ 0xFFFFFFFFu;
+}
+
+/** What a full FrameReader pass accepted, in the shape of the whole-file
+ *  scan it replaced. */
+struct ReaderScan
+{
+    bool headerOk = false;
+    bool torn = false;
+    std::size_t tornBytes = 0;
+    std::vector<std::string> frames;
+};
+
+ReaderScan
+scanWithReader(const std::string &path, const char *magic,
+               std::size_t chunk = vault::kGroupCommitBytes)
+{
+    ReaderScan out;
+    vault::FrameReader reader(path, magic, chunk);
+    std::string_view payload;
+    while (reader.next(payload))
+        out.frames.emplace_back(payload);
+    out.headerOk = reader.headerOk();
+    out.torn = reader.torn();
+    out.tornBytes = reader.tornBytes();
+    return out;
+}
+
+/** Write `payloads` as one framed file under `magic`. */
+void
+writeFramedFile(const std::string &path, const char *magic,
+                const std::vector<std::string> &payloads)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(vault::writeFileHeader(out, magic));
+    for (const std::string &payload : payloads)
+        vault::writeFrame(out, payload);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 } // namespace
@@ -133,17 +190,11 @@ TEST(FrameTest, ScanRoundTripAndTornTail)
 {
     VaultDir dir("frame_test");
     std::string path = dir.path + "/frames.bin";
-    {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(vault::writeFileHeader(out, vault::kLedgerMagic));
-        vault::appendFrame(out, "alpha");
-        vault::appendFrame(out, "beta");
-        vault::appendFrame(out, "gamma");
-    }
-    vault::FrameScan scan = vault::scanFrames(path,
-                                              vault::kLedgerMagic);
+    writeFramedFile(path, vault::kLedgerMagic, {"alpha", "beta", "gamma"});
+    ReaderScan scan = scanWithReader(path, vault::kLedgerMagic);
     EXPECT_TRUE(scan.headerOk);
     EXPECT_FALSE(scan.torn);
+    EXPECT_EQ(scan.tornBytes, 0u);
     ASSERT_EQ(scan.frames.size(), 3u);
     EXPECT_EQ(scan.frames[1], "beta");
 
@@ -151,10 +202,10 @@ TEST(FrameTest, ScanRoundTripAndTornTail)
     // intact prefix survives; the tail is reported, not interpreted.
     std::filesystem::resize_file(
         path, std::filesystem::file_size(path) - 3);
-    scan = vault::scanFrames(path, vault::kLedgerMagic);
+    scan = scanWithReader(path, vault::kLedgerMagic);
     EXPECT_TRUE(scan.headerOk);
     EXPECT_TRUE(scan.torn);
-    EXPECT_GT(scan.tornBytes, 0u);
+    EXPECT_EQ(scan.tornBytes, 8u + 5u - 3u); // gamma's frame, cut
     ASSERT_EQ(scan.frames.size(), 2u);
     EXPECT_EQ(scan.frames[1], "beta");
 }
@@ -163,12 +214,7 @@ TEST(FrameTest, CorruptPayloadStopsScanAtChecksum)
 {
     VaultDir dir("frame_corrupt");
     std::string path = dir.path + "/frames.bin";
-    {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(vault::writeFileHeader(out, vault::kLedgerMagic));
-        vault::appendFrame(out, "first");
-        vault::appendFrame(out, "second");
-    }
+    writeFramedFile(path, vault::kLedgerMagic, {"first", "second"});
     // Flip one payload byte of the second frame.
     std::fstream patch(path,
                        std::ios::binary | std::ios::in | std::ios::out);
@@ -176,9 +222,9 @@ TEST(FrameTest, CorruptPayloadStopsScanAtChecksum)
     patch.put('X');
     patch.close();
 
-    vault::FrameScan scan = vault::scanFrames(path,
-                                              vault::kLedgerMagic);
+    ReaderScan scan = scanWithReader(path, vault::kLedgerMagic);
     EXPECT_TRUE(scan.torn);
+    EXPECT_EQ(scan.tornBytes, 8u + 6u);
     ASSERT_EQ(scan.frames.size(), 1u);
     EXPECT_EQ(scan.frames[0], "first");
 }
@@ -187,16 +233,47 @@ TEST(FrameTest, WrongMagicRefusesFile)
 {
     VaultDir dir("frame_magic");
     std::string path = dir.path + "/frames.bin";
-    {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(
-            vault::writeFileHeader(out, vault::kCheckpointMagic));
-        vault::appendFrame(out, "payload");
-    }
-    vault::FrameScan scan = vault::scanFrames(path,
-                                              vault::kLedgerMagic);
+    writeFramedFile(path, vault::kCheckpointMagic, {"payload"});
+    ReaderScan scan = scanWithReader(path, vault::kLedgerMagic);
     EXPECT_FALSE(scan.headerOk);
+    EXPECT_FALSE(scan.torn);
     EXPECT_TRUE(scan.frames.empty());
+}
+
+TEST(FrameTest, ReaderBufferGrowsOnlyToTheLargestFrame)
+{
+    // Frames far smaller and far larger than the read chunk, in every
+    // chunk size from a few bytes to the whole file: the payloads and
+    // the verdict never depend on where the chunk boundaries fall.
+    VaultDir dir("frame_chunks");
+    std::string path = dir.path + "/frames.bin";
+    std::vector<std::string> payloads;
+    for (std::size_t size : {0u, 1u, 5u, 300u, 70000u, 12u, 40000u, 3u})
+        payloads.emplace_back(size, static_cast<char>('a' + size % 26));
+    writeFramedFile(path, vault::kLedgerMagic, payloads);
+    for (std::size_t chunk :
+         {std::size_t{1}, std::size_t{7}, std::size_t{4096},
+          vault::kGroupCommitBytes, vault::FrameReader::kWholeFile}) {
+        ReaderScan scan = scanWithReader(path, vault::kLedgerMagic, chunk);
+        EXPECT_TRUE(scan.headerOk) << "chunk " << chunk;
+        EXPECT_FALSE(scan.torn) << "chunk " << chunk;
+        EXPECT_EQ(scan.frames, payloads) << "chunk " << chunk;
+    }
+}
+
+TEST(FrameTest, FrameCrcContinuesAcrossHeadAndBody)
+{
+    // crc32(b, crc32(a)) is crc32(a + b) at every split point, so a
+    // frame written from two spans checks like one written whole.
+    std::string bytes = "checkpoint section kind word and body";
+    for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+        std::string_view all(bytes);
+        EXPECT_EQ(common::crc32(all.substr(cut),
+                                common::crc32(all.substr(0, cut))),
+                  common::crc32(all))
+            << "cut " << cut;
+    }
+    EXPECT_EQ(common::crc32("", 0), 0u);
 }
 
 // --- write-ahead ledger ---------------------------------------------
@@ -274,15 +351,11 @@ TEST(CheckpointTest, WriteReadRoundTrip)
     meta.modelFingerprint = 0xFEEDFACEull;
     meta.coveredSeq = 128;
     meta.monitorTime = 99.5;
-    std::vector<std::pair<vault::CheckpointSection, std::string>>
-        sections;
-    sections.emplace_back(vault::CheckpointSection::Meta,
-                          vault::encodeMeta(meta));
-    sections.emplace_back(vault::CheckpointSection::Interner,
-                          std::string("interner-bytes"));
-    sections.emplace_back(vault::CheckpointSection::Monitor,
-                          std::string("monitor-bytes"));
-    std::uint64_t bytes = vault::writeCheckpoint(path, sections);
+    const std::string meta_bytes = vault::encodeMeta(meta);
+    std::uint64_t bytes = vault::writeCheckpoint(
+        path, {{vault::CheckpointSection::Meta, meta_bytes},
+               {vault::CheckpointSection::Interner, "interner-bytes"},
+               {vault::CheckpointSection::Monitor, "monitor-bytes"}});
     EXPECT_GT(bytes, 0u);
     EXPECT_EQ(bytes, std::filesystem::file_size(path));
 
@@ -302,9 +375,9 @@ TEST(CheckpointTest, MissingTerminatorMeansIncomplete)
     VaultDir dir("ckpt_incomplete");
     std::string path = vault::checkpointPath(dir.path);
     vault::CheckpointMeta meta;
+    const std::string meta_bytes = vault::encodeMeta(meta);
     ASSERT_GT(vault::writeCheckpoint(
-                  path, {{vault::CheckpointSection::Meta,
-                          vault::encodeMeta(meta)}}),
+                  path, {{vault::CheckpointSection::Meta, meta_bytes}}),
               0u);
     // Drop the End frame (4-byte kind + 8-byte frame header).
     std::filesystem::resize_file(
@@ -752,4 +825,505 @@ TEST_F(VaultMonitorTest, RecoveryRefusesCheckpointOfAnOlderFormat)
     right += render(restored.finish(), catalog);
     EXPECT_FALSE(left.empty());
     EXPECT_EQ(left, right);
+}
+
+// --- mutation fuzz: WAL scan and checkpoint restore -------------------
+
+namespace {
+
+/**
+ * The whole-file scanner and the copying checkpoint writer the
+ * streaming reader and writer replaced, kept verbatim (bar the
+ * namespace) as the reference the mutants are checked against.
+ */
+namespace reference {
+
+std::string
+encodeU32(std::uint32_t value)
+{
+    std::string out(4, '\0');
+    for (int i = 0; i < 4; ++i) {
+        out[static_cast<std::size_t>(i)] =
+            static_cast<char>((value >> (8 * i)) & 0xffu);
+    }
+    return out;
+}
+
+std::uint32_t
+decodeU32(const char *bytes)
+{
+    std::uint32_t value = 0;
+    for (int i = 0; i < 4; ++i) {
+        value |= static_cast<std::uint32_t>(
+                     static_cast<unsigned char>(bytes[i]))
+                 << (8 * i);
+    }
+    return value;
+}
+
+constexpr std::size_t kHeaderBytes = 12;
+
+std::string
+frameBytes(const std::string &payload)
+{
+    std::string out =
+        encodeU32(static_cast<std::uint32_t>(payload.size()));
+    out += encodeU32(common::crc32(payload));
+    out += payload;
+    return out;
+}
+
+void
+appendFrame(std::ofstream &out, const std::string &payload)
+{
+    std::string frame = frameBytes(payload);
+    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    out.flush();
+}
+
+bool
+writeFileHeader(std::ofstream &out, const char *magic)
+{
+    out.write(magic, 8);
+    out << encodeU32(vault::kVaultVersion);
+    out.flush();
+    return out.good();
+}
+
+struct FrameScan
+{
+    bool headerOk = false;
+    bool torn = false;
+    std::size_t tornBytes = 0;
+    std::vector<std::string> frames;
+};
+
+FrameScan
+scanFrames(const std::string &path, const char *magic)
+{
+    FrameScan scan;
+    std::ifstream in(path, std::ios::binary);
+    if (!in.is_open()) {
+        return scan;
+    }
+    std::string contents((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+    if (contents.size() < kHeaderBytes ||
+        contents.compare(0, 8, magic, 8) != 0 ||
+        decodeU32(contents.data() + 8) != vault::kVaultVersion) {
+        return scan;
+    }
+    scan.headerOk = true;
+    std::size_t pos = kHeaderBytes;
+    while (pos < contents.size()) {
+        if (contents.size() - pos < 8) {
+            break;
+        }
+        std::size_t len = decodeU32(contents.data() + pos);
+        std::uint32_t crc = decodeU32(contents.data() + pos + 4);
+        if (contents.size() - pos - 8 < len) {
+            break;
+        }
+        std::string payload = contents.substr(pos + 8, len);
+        if (common::crc32(payload) != crc) {
+            break;
+        }
+        scan.frames.push_back(std::move(payload));
+        pos += 8 + len;
+    }
+    if (pos < contents.size()) {
+        scan.torn = true;
+        scan.tornBytes = contents.size() - pos;
+    }
+    return scan;
+}
+
+vault::LedgerScan
+readLedger(const std::string &path)
+{
+    vault::LedgerScan scan;
+    FrameScan frames = scanFrames(path, vault::kLedgerMagic);
+    scan.headerOk = frames.headerOk;
+    scan.torn = frames.torn;
+    for (const std::string &payload : frames.frames) {
+        common::BinReader in(payload);
+        vault::LedgerInput input;
+        std::uint8_t kind = in.readU8();
+        input.seq = in.readU64();
+        if (kind ==
+            static_cast<std::uint8_t>(vault::LedgerEntry::RawLine)) {
+            input.kind = vault::LedgerEntry::RawLine;
+            input.line = in.readString();
+        } else if (kind == static_cast<std::uint8_t>(
+                               vault::LedgerEntry::Record)) {
+            input.kind = vault::LedgerEntry::Record;
+            logging::readLogRecord(in, input.record);
+        } else {
+            in.fail();
+        }
+        if (!in.ok()) {
+            scan.torn = true;
+            break;
+        }
+        scan.inputs.push_back(std::move(input));
+    }
+    return scan;
+}
+
+std::uint64_t
+writeCheckpoint(
+    const std::string &path,
+    const std::vector<std::pair<vault::CheckpointSection, std::string>>
+        &sections)
+{
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        if (!out.is_open() ||
+            !writeFileHeader(out, vault::kCheckpointMagic)) {
+            return 0;
+        }
+        for (const auto &[kind, body] : sections) {
+            std::string payload =
+                encodeU32(static_cast<std::uint32_t>(kind));
+            payload += body;
+            appendFrame(out, payload);
+        }
+        appendFrame(out, encodeU32(static_cast<std::uint32_t>(
+                             vault::CheckpointSection::End)));
+        if (!out.good()) {
+            return 0;
+        }
+    }
+    std::error_code ec;
+    auto size = std::filesystem::file_size(tmp, ec);
+    if (ec || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        return 0;
+    }
+    return static_cast<std::uint64_t>(size);
+}
+
+vault::CheckpointScan
+readCheckpoint(const std::string &path)
+{
+    vault::CheckpointScan scan;
+    FrameScan frames = scanFrames(path, vault::kCheckpointMagic);
+    scan.headerOk = frames.headerOk;
+    for (const std::string &payload : frames.frames) {
+        if (payload.size() < 4) {
+            break;
+        }
+        auto kind = static_cast<vault::CheckpointSection>(
+            decodeU32(payload.data()));
+        if (kind == vault::CheckpointSection::End) {
+            scan.complete = true;
+            break;
+        }
+        std::string body = payload.substr(4);
+        if (kind == vault::CheckpointSection::Meta) {
+            scan.hasMeta = vault::decodeMeta(body, scan.meta);
+        }
+        scan.sections.emplace_back(kind, std::move(body));
+    }
+    return scan;
+}
+
+} // namespace reference
+
+void
+expectSameLedger(const vault::LedgerScan &got,
+                 const vault::LedgerScan &want, const std::string &what)
+{
+    EXPECT_EQ(got.headerOk, want.headerOk) << what;
+    EXPECT_EQ(got.torn, want.torn) << what;
+    ASSERT_EQ(got.inputs.size(), want.inputs.size()) << what;
+    for (std::size_t i = 0; i < got.inputs.size(); ++i) {
+        const vault::LedgerInput &a = got.inputs[i];
+        const vault::LedgerInput &b = want.inputs[i];
+        EXPECT_EQ(a.kind, b.kind) << what << " input " << i;
+        EXPECT_EQ(a.seq, b.seq) << what << " input " << i;
+        EXPECT_EQ(a.line, b.line) << what << " input " << i;
+        EXPECT_EQ(logging::encodeLogLine(a.record),
+                  logging::encodeLogLine(b.record))
+            << what << " input " << i;
+        EXPECT_EQ(a.record.id, b.record.id) << what << " input " << i;
+    }
+}
+
+void
+expectSameCheckpoint(const vault::CheckpointScan &got,
+                     const vault::CheckpointScan &want,
+                     const std::string &what)
+{
+    EXPECT_EQ(got.headerOk, want.headerOk) << what;
+    EXPECT_EQ(got.complete, want.complete) << what;
+    EXPECT_EQ(got.hasMeta, want.hasMeta) << what;
+    if (got.hasMeta && want.hasMeta) {
+        EXPECT_EQ(got.meta.modelFingerprint, want.meta.modelFingerprint)
+            << what;
+        EXPECT_EQ(got.meta.coveredSeq, want.meta.coveredSeq) << what;
+    }
+    EXPECT_EQ(got.sections, want.sections) << what;
+}
+
+/** Offsets of the frames of an intact framed file. */
+std::vector<std::size_t>
+frameOffsets(const std::string &bytes)
+{
+    std::vector<std::size_t> out;
+    std::size_t pos = reference::kHeaderBytes;
+    while (bytes.size() - pos >= 8) {
+        out.push_back(pos);
+        pos += 8 + reference::decodeU32(bytes.data() + pos);
+    }
+    return out;
+}
+
+/**
+ * One mutant of `golden`: flipped bytes, a truncation, a splice with
+ * `other` (the other kind of vault file, or itself), a duplicated
+ * frame, or flipped payload bytes under a re-sealed CRC — the case
+ * that reaches the decoders behind the checksum. Frame `unsealed` is
+ * never re-sealed.
+ */
+std::string
+mutate(const std::string &golden, const std::string &other,
+       common::Rng &rng, std::size_t unsealed = SIZE_MAX)
+{
+    std::string bytes = golden;
+    auto pick = [&rng](std::size_t size) {
+        return static_cast<std::size_t>(rng.uniformU64() % (size + 1));
+    };
+    switch (rng.uniformInt(0, 4)) {
+      case 0: { // flip bytes
+        int flips = rng.uniformInt(1, 4);
+        for (int i = 0; i < flips && !bytes.empty(); ++i)
+            bytes[pick(bytes.size() - 1)] ^=
+                static_cast<char>(rng.uniformInt(1, 255));
+        break;
+      }
+      case 1: // truncate
+        bytes.resize(pick(bytes.size()));
+        break;
+      case 2: { // splice: a prefix of one file, a suffix of another
+        const std::string &donor = rng.chance(0.5) ? other : golden;
+        std::size_t cut = pick(bytes.size());
+        std::size_t from = pick(donor.size());
+        bytes = bytes.substr(0, cut) + donor.substr(from);
+        break;
+      }
+      case 3: { // duplicate a whole frame in place
+        std::vector<std::size_t> frames = frameOffsets(golden);
+        if (frames.empty())
+            break;
+        std::size_t i = pick(frames.size() - 1);
+        std::size_t end =
+            i + 1 < frames.size() ? frames[i + 1] : golden.size();
+        bytes.insert(frames[i],
+                     golden.substr(frames[i], end - frames[i]));
+        break;
+      }
+      default: { // flip payload bytes, then re-seal the frame's CRC
+        std::vector<std::size_t> frames = frameOffsets(golden);
+        if (frames.empty())
+            break;
+        std::size_t frame = pick(frames.size() - 1);
+        if (frame == unsealed)
+            break;
+        std::size_t at = frames[frame];
+        std::size_t len = reference::decodeU32(bytes.data() + at);
+        if (len == 0)
+            break;
+        int flips = rng.uniformInt(1, 3);
+        for (int i = 0; i < flips; ++i)
+            bytes[at + 8 + pick(len - 1)] ^=
+                static_cast<char>(rng.uniformInt(1, 255));
+        std::string crc = reference::encodeU32(common::crc32(
+            std::string_view(bytes).substr(at + 8, len)));
+        bytes.replace(at + 4, 4, crc);
+        break;
+      }
+    }
+    return bytes;
+}
+
+} // namespace
+
+TEST_F(VaultMonitorTest, CheckpointAndLedgerBytesMatchTheCopyingWriter)
+{
+    VaultDir dir("vault_bytes");
+    vault::VaultConfig vault_config;
+    vault_config.directory = dir.path;
+    std::vector<logging::LogRecord> records = workload(3, 24);
+    const std::size_t half = records.size() / 2;
+    {
+        vault::VaultedMonitor vaulted(vault_config, config(true),
+                                      catalog, automata());
+        for (std::size_t i = 0; i < half; ++i)
+            vaulted.feed(records[i]);
+        ASSERT_TRUE(vaulted.checkpoint());
+    }
+
+    // The image the monitor wrote, re-written section by section
+    // through the copying writer: the same bytes.
+    const std::string path = vault::checkpointPath(dir.path);
+    const std::string written = readFile(path);
+    vault::CheckpointScan scan = reference::readCheckpoint(path);
+    ASSERT_TRUE(scan.complete);
+    ASSERT_EQ(scan.sections.size(), 3u);
+    const std::string copy_path = dir.path + "/copy.ckpt";
+    ASSERT_GT(reference::writeCheckpoint(copy_path, scan.sections), 0u);
+    EXPECT_EQ(readFile(copy_path), written);
+
+    // Same sections through both writers, including an empty body.
+    const std::string a = dir.path + "/a.ckpt";
+    const std::string b = dir.path + "/b.ckpt";
+    ASSERT_GT(vault::writeCheckpoint(
+                  a, {{scan.sections[0].first, scan.sections[0].second},
+                      {vault::CheckpointSection::Interner, ""},
+                      {scan.sections[2].first, scan.sections[2].second}}),
+              0u);
+    ASSERT_GT(reference::writeCheckpoint(
+                  b, {scan.sections[0],
+                      {vault::CheckpointSection::Interner, ""},
+                      scan.sections[2]}),
+              0u);
+    EXPECT_EQ(readFile(a), readFile(b));
+
+    // The ledger: framed by the appender, against the copying framer
+    // over hand-encoded payloads.
+    const std::string wal = dir.path + "/check.wal";
+    const std::string giant(40000, 'g'); // longer than a read chunk
+    {
+        vault::WriteAheadLedger ledger(wal);
+        ASSERT_TRUE(ledger.open());
+        ledger.appendLine(7, "a wire line");
+        ledger.appendRecord(8, records[0]);
+        ledger.appendLine(9, giant);
+        ledger.appendLine(10, "");
+    }
+    const std::string expected_wal = dir.path + "/expected.wal";
+    {
+        std::ofstream out(expected_wal, std::ios::binary);
+        ASSERT_TRUE(reference::writeFileHeader(out, vault::kLedgerMagic));
+        auto line_payload = [](std::uint64_t seq,
+                               const std::string &line) {
+            common::BinWriter w;
+            w.writeU8(
+                static_cast<std::uint8_t>(vault::LedgerEntry::RawLine));
+            w.writeU64(seq);
+            w.writeString(line);
+            return w.takeBytes();
+        };
+        reference::appendFrame(out, line_payload(7, "a wire line"));
+        common::BinWriter w;
+        w.writeU8(static_cast<std::uint8_t>(vault::LedgerEntry::Record));
+        w.writeU64(8);
+        logging::writeLogRecord(w, records[0]);
+        reference::appendFrame(out, w.bytes());
+        reference::appendFrame(out, line_payload(9, giant));
+        reference::appendFrame(out, line_payload(10, ""));
+    }
+    EXPECT_EQ(readFile(wal), readFile(expected_wal));
+}
+
+TEST_F(VaultMonitorTest, MutatedVaultFilesScanLikeTheWholeFileReader)
+{
+    // Golden files from a real run: a checkpoint at the midpoint, then
+    // a ledger tail of records, wire lines and one line longer than a
+    // read chunk.
+    VaultDir golden_dir("vault_fuzz_golden");
+    vault::VaultConfig golden_config;
+    golden_config.directory = golden_dir.path;
+    std::vector<logging::LogRecord> records = workload(17, 40);
+    const std::size_t half = records.size() / 2;
+    {
+        vault::VaultedMonitor vaulted(golden_config, config(true),
+                                      catalog, automata());
+        for (std::size_t i = 0; i < half; ++i)
+            vaulted.feed(records[i]);
+        ASSERT_TRUE(vaulted.checkpoint());
+        for (std::size_t i = half; i < records.size(); ++i) {
+            if (i % 2 == 0)
+                vaulted.feed(records[i]);
+            else
+                vaulted.feedLine(logging::encodeLogLine(records[i]));
+            if (i == half + 3)
+                vaulted.feedLine(std::string(70000, 'x'));
+        }
+    } // the kill: the ledger tail stays behind
+    const std::string golden_ckpt =
+        readFile(vault::checkpointPath(golden_dir.path));
+    const std::string golden_wal =
+        readFile(vault::ledgerPath(golden_dir.path));
+    ASSERT_GT(frameOffsets(golden_wal).size(), 20u);
+    ASSERT_EQ(frameOffsets(golden_ckpt).size(), 4u);
+
+    VaultDir dir("vault_fuzz");
+    vault::VaultConfig vault_config;
+    vault_config.directory = dir.path;
+    const std::string ckpt_path = vault::checkpointPath(dir.path);
+    const std::string wal_path = vault::ledgerPath(dir.path);
+    constexpr int kIterations = 300;
+    // Read chunks that move the frame boundaries around, and the
+    // whole-file mode the checkpoint reader uses.
+    constexpr std::size_t kChunks[] = {13, vault::kGroupCommitBytes, 1000,
+                                       vault::FrameReader::kWholeFile};
+    common::Rng rng(20261019);
+    int recovered = 0, refused = 0, torn = 0;
+    for (int iter = 0; iter < kIterations; ++iter) {
+        const std::string what = "iteration " + std::to_string(iter);
+        // Mutate the checkpoint, the ledger, or both.
+        const int target = iter % 3;
+        // The Monitor section (frame 2) is not re-sealed: its decoder
+        // trusts the cross-references inside a CRC-valid image.
+        const std::string ckpt =
+            target == 1 ? golden_ckpt
+                        : mutate(golden_ckpt, golden_wal, rng, 2);
+        const std::string wal =
+            target == 0 ? golden_wal : mutate(golden_wal, golden_ckpt, rng);
+        // The mutant is on disk before anything reads it, so a crash
+        // leaves it in the directory as the reproducer.
+        std::filesystem::remove_all(dir.path);
+        std::filesystem::create_directories(dir.path);
+        writeFile(ckpt_path, ckpt);
+        writeFile(wal_path, wal);
+
+        const std::size_t chunk = kChunks[iter % 4];
+        for (const auto &[path, magic] :
+             {std::pair{wal_path, vault::kLedgerMagic},
+              std::pair{ckpt_path, vault::kCheckpointMagic}}) {
+            ReaderScan got = scanWithReader(path, magic, chunk);
+            reference::FrameScan want = reference::scanFrames(path, magic);
+            EXPECT_EQ(got.headerOk, want.headerOk) << what;
+            EXPECT_EQ(got.torn, want.torn) << what;
+            EXPECT_EQ(got.tornBytes, want.tornBytes) << what;
+            EXPECT_EQ(got.frames, want.frames) << what;
+        }
+        // Decoded entries and sections.
+        vault::LedgerScan ledger = vault::readLedger(wal_path);
+        expectSameLedger(ledger, reference::readLedger(wal_path), what);
+        expectSameCheckpoint(vault::readCheckpoint(ckpt_path),
+                             reference::readCheckpoint(ckpt_path), what);
+        torn += ledger.torn ? 1 : 0;
+
+        // A restore over the mutant ends recovered or refused — one,
+        // never both, never a crash — and the monitor keeps working.
+        vault::VaultedMonitor restored(vault_config, config(true),
+                                       catalog, automata());
+        const vault::RecoverResult &rec = restored.recovery();
+        EXPECT_NE(rec.recovered, !rec.error.empty())
+            << what << ": " << rec.error;
+        (rec.recovered ? recovered : refused) += 1;
+        for (std::size_t i = records.size() - 4; i < records.size(); ++i)
+            restored.feed(records[i]);
+        restored.finish();
+    }
+    std::printf("mutants: %d recovered, %d refused, %d with a torn "
+                "ledger\n",
+                recovered, refused, torn);
+    // The loop must reach both outcomes and the torn-tail path.
+    EXPECT_GT(recovered, kIterations / 10);
+    EXPECT_GT(refused, kIterations / 10);
+    EXPECT_GT(torn, kIterations / 10);
 }

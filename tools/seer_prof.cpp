@@ -149,6 +149,8 @@ cmdTop(const std::vector<std::string> &args)
                 profile.hz, profile.durationSeconds,
                 static_cast<unsigned long long>(profile.dropped),
                 100.0 * profile.taggedFraction());
+    std::printf("delivered: %.1f Hz over %.3f CPU s\n",
+                profile.deliveredHz, profile.cpuSeconds);
     std::printf("  %-16s %10s %8s\n", "stage", "samples", "share");
     for (int s = 0; s < obs::kProfStageCount; ++s) {
         std::uint64_t count =
