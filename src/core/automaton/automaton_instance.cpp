@@ -510,6 +510,13 @@ writeIntList(common::BinWriter &out, std::span<const int> values)
         out.writeI64(v);
 }
 
+/** Whether a decoded id names one of `n` events. */
+bool
+eventInRange(std::int64_t event, std::size_t n)
+{
+    return event >= 0 && static_cast<std::uint64_t>(event) < n;
+}
+
 /** Read one saved adjacency list into `list`: at most its stride of
  *  event ids, each below `n` (the ids index the per-event arrays). */
 bool
@@ -525,7 +532,7 @@ readIntList(common::BinReader &in, AdjacencyList list, std::size_t n)
     *list.length = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::int64_t event = in.readI64();
-        if (!in.ok() || event < 0 || static_cast<std::uint64_t>(event) >= n) {
+        if (!in.ok() || !eventInRange(event, n)) {
             in.fail();
             return false;
         }
@@ -588,16 +595,26 @@ InstanceArena::restoreState(std::size_t i, common::BinReader &in)
     h.consumed = static_cast<std::uint32_t>(in.readU64());
     h.lastEvent = static_cast<std::int32_t>(in.readI64());
     std::uint64_t removed = in.readU64();
-    if (!in.ok())
+    // Each removed edge is two 8-byte ids: a count the rest of the
+    // image cannot hold is refused before it reserves anything.
+    if (!in.ok() || removed > in.remaining() / 16) {
+        in.fail();
         return false;
+    }
     if (removed > 0 || h.repair >= 0) {
         Repair &repair = repairSlot(h);
         repair.removed.clear();
         repair.removed.reserve(static_cast<std::size_t>(removed));
         for (std::uint64_t r = 0; r < removed; ++r) {
-            int from = static_cast<int>(in.readI64());
-            int to = static_cast<int>(in.readI64());
-            repair.removed.emplace_back(from, to);
+            const std::int64_t from = in.readI64();
+            const std::int64_t to = in.readI64();
+            if (!in.ok() || !eventInRange(from, events) ||
+                !eventInRange(to, events)) {
+                in.fail();
+                return false;
+            }
+            repair.removed.emplace_back(static_cast<int>(from),
+                                        static_cast<int>(to));
         }
     }
     bool has_own = in.readBool();
@@ -621,7 +638,51 @@ InstanceArena::restoreState(std::size_t i, common::BinReader &in)
     } else if (h.repair >= 0) {
         repairs[static_cast<std::size_t>(h.repair)].ownAdjacency = false;
     }
+    if (in.ok() && !consistent(h))
+        in.fail();
     return in.ok();
+}
+
+bool
+InstanceArena::consistent(const Header &h) const
+{
+    const std::size_t events = h.spec->eventCount();
+    const char *flags = done.data() + h.offset;
+    std::size_t consumed = 0;
+    for (std::size_t e = 0; e < events; ++e) {
+        if (flags[e] != 0 && flags[e] != 1)
+            return false;
+        consumed += static_cast<std::size_t>(flags[e]);
+    }
+    if (consumed != h.consumed)
+        return false;
+    // The last consumed event, or -1 before the first.
+    if (h.lastEvent == -1 ? consumed != 0
+                          : !eventInRange(h.lastEvent, events) ||
+                                !flags[h.lastEvent])
+        return false;
+    for (std::size_t e = 0; e < events; ++e) {
+        const int event = static_cast<int>(e);
+        // Every edge is listed once from each end…
+        std::span<const int> preds = predsOf(h, event);
+        for (int p : preds) {
+            std::span<const int> back = succsOf(h, p);
+            if (std::count(preds.begin(), preds.end(), p) !=
+                std::count(back.begin(), back.end(), event))
+                return false;
+        }
+        for (int q : succsOf(h, event)) {
+            std::span<const int> back = predsOf(h, q);
+            if (std::count(back.begin(), back.end(), event) == 0)
+                return false;
+        }
+        // …and an event waits on exactly its unconsumed predecessors.
+        const auto waiting = std::count_if(
+            preds.begin(), preds.end(), [flags](int p) { return !flags[p]; });
+        if (remainingPreds[h.offset + e] != waiting)
+            return false;
+    }
+    return true;
 }
 
 std::size_t

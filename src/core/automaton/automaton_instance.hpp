@@ -141,7 +141,8 @@ class InstanceArena
     /** Serialise instance i's mutable state. */
     void saveState(std::size_t i, common::BinWriter &out) const;
 
-    /** Overwrite instance i's state from a saveState image. */
+    /** Overwrite instance i's state from a saveState image; false on
+     *  a decode failure or on state the live code cannot produce. */
     bool restoreState(std::size_t i, common::BinReader &in);
 
     /** Size estimate of instance i for the memory ceiling. */
@@ -190,6 +191,11 @@ class InstanceArena
     std::span<const int> succsOf(const Header &h, int event) const;
     Repair &repairSlot(Header &h);
     void materialiseAdjacency(Header &h);
+    /** Whether a restored instance is one the live code could have
+     *  produced: flags that match the consumed count and last event,
+     *  an adjacency that lists every edge from both ends, and
+     *  predecessor counts that match it. */
+    bool consistent(const Header &h) const;
     int nextPendingEvent(const Header &h, logging::TemplateId tpl) const;
     void moveInstance(std::size_t from, std::size_t to,
                       std::uint32_t offset);

@@ -13,6 +13,10 @@ namespace {
  */
 constexpr std::size_t kGroupOverheadBytes = 200;
 
+/** Bytes saveState writes per consumed message: record, template and
+ *  time. */
+constexpr std::size_t kSavedMessageBytes = 8 + 4 + 8;
+
 } // namespace
 
 AutomatonGroup::AutomatonGroup(
@@ -276,9 +280,13 @@ AutomatonGroup::restoreState(
         if (!arena.restoreState(arena.size() - 1, in))
             return false;
     }
+    // Counts read from the image are bounded by the bytes left to hold
+    // their entries before anything is reserved.
     std::uint64_t message_count = in.readU64();
-    if (!in.ok())
+    if (!in.ok() || message_count > in.remaining() / kSavedMessageBytes) {
+        in.fail();
         return false;
+    }
     consumedMessages.clear();
     consumedMessages.reserve(static_cast<std::size_t>(message_count));
     for (std::uint64_t i = 0; i < message_count; ++i) {
@@ -286,6 +294,8 @@ AutomatonGroup::restoreState(
         msg.record = in.readU64();
         msg.tpl = in.readU32();
         msg.time = in.readF64();
+        if (!in.ok())
+            return false;
         consumedMessages.push_back(msg);
     }
     lastActivityTime = in.readF64();
@@ -293,18 +303,30 @@ AutomatonGroup::restoreState(
     anyConsumed = in.readBool();
     parentId = in.readU64();
     std::uint64_t child_count = in.readU64();
-    if (!in.ok())
+    if (!in.ok() || child_count > in.remaining() / sizeof(GroupId)) {
+        in.fail();
         return false;
+    }
     childIds.clear();
     childIds.reserve(static_cast<std::size_t>(child_count));
-    for (std::uint64_t i = 0; i < child_count; ++i)
-        childIds.push_back(in.readU64());
+    for (std::uint64_t i = 0; i < child_count; ++i) {
+        const GroupId child = in.readU64();
+        // A clone always takes a newer id than the group it forks
+        // from, so lineage walks end.
+        if (!in.ok() || child <= groupId) {
+            in.fail();
+            return false;
+        }
+        childIds.push_back(child);
+    }
     rivalSetId = in.readU64();
     isZombie = in.readBool();
     signatureValid = false;
     signatureCache.clear();
     taskNamesValid = false;
     taskNamesCache.clear();
+    if (groupId == 0 || parentId >= groupId)
+        in.fail();
     return in.ok();
 }
 

@@ -194,7 +194,10 @@ class AutomatonGroup
     /**
      * Overwrite this group from a saveState image taken against the
      * same automaton vector (same order — the model fingerprint in the
-     * checkpoint header guards this). False on any decode failure.
+     * checkpoint header guards this). False on any decode failure,
+     * and on state a live run cannot produce: a count larger than the
+     * image, lineage links that do not point from older to newer ids,
+     * or an instance that fails InstanceArena's consistency check.
      */
     bool restoreState(common::BinReader &in,
                       const std::vector<const TaskAutomaton *> &automata);

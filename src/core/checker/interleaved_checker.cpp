@@ -1514,7 +1514,10 @@ InterleavedChecker::restoreState(common::BinReader &in)
         if (!group.restoreState(in, automatonSet))
             return false;
         GroupId gid = group.id();
-        groups.emplace(gid, std::move(group));
+        if (!groups.emplace(gid, std::move(group)).second) {
+            in.fail();
+            return false;
+        }
     }
 
     std::uint64_t removal_tasks = in.readU64();
@@ -1523,13 +1526,18 @@ InterleavedChecker::restoreState(common::BinReader &in)
     for (std::uint64_t i = 0; i < removal_tasks; ++i) {
         std::string name = in.readString();
         std::uint64_t edge_count = in.readU64();
-        if (!in.ok())
+        // Three 8-byte words per edge.
+        if (!in.ok() || edge_count > in.remaining() / 24) {
+            in.fail();
             return false;
+        }
         auto &edges = removalCounts[name];
         for (std::uint64_t e = 0; e < edge_count; ++e) {
             int from = static_cast<int>(in.readI64());
             int to = static_cast<int>(in.readI64());
             int count = static_cast<int>(in.readI64());
+            if (!in.ok())
+                return false;
             edges[{from, to}] = count;
         }
     }
@@ -1565,14 +1573,48 @@ InterleavedChecker::restoreState(common::BinReader &in)
     for (std::uint64_t i = 0; i < relation_count; ++i) {
         GroupId gid = in.readU64();
         std::uint64_t set_id = in.readU64();
-        groupToSet[gid] = set_id;
+        if (!in.ok() || !groupToSet.emplace(gid, set_id).second) {
+            in.fail();
+            return false;
+        }
     }
 
     nextGroupId = in.readU64();
     nextIdSetId = in.readU64();
     nextRivalSet = in.readU64();
     maxResolvedTimeout = in.readF64();
+    if (in.ok() && !restoredStateConsistent())
+        in.fail();
     return in.ok();
+}
+
+std::size_t
+InterleavedChecker::identifierTokenBound() const
+{
+    std::size_t bound = 0;
+    for (const auto &[token, sets] : postings)
+        bound = std::max(bound, static_cast<std::size_t>(token) + 1);
+    return bound;
+}
+
+bool
+InterleavedChecker::restoredStateConsistent() const
+{
+    // Groups, their identifier sets and the relation between them name
+    // each other (the derived index was rebuilt from the sets)…
+    if (!indexConsistent())
+        return false;
+    // …and the next ids are fresh, so a new group or set never takes
+    // the key of a live one.
+    if (!groups.empty() && groups.rbegin()->first >= nextGroupId)
+        return false;
+    if (!idsets.empty() && idsets.rbegin()->first >= nextIdSetId)
+        return false;
+    for (const auto &[gid, group] : groups) {
+        if (group.rivalSet() >= nextRivalSet)
+            return false;
+    }
+    return true;
 }
 
 } // namespace cloudseer::core

@@ -187,7 +187,9 @@ class InterleavedChecker
     /**
      * Overwrite this checker from a saveState image taken against an
      * identical automaton vector (guard with modelFingerprint before
-     * calling). On failure the stream is marked bad and the checker is
+     * calling). An image whose groups, identifier sets and relations
+     * do not name each other, or whose next ids are not fresh, is
+     * refused. On failure the stream is marked bad and the checker is
      * left cleared — construct a fresh one rather than continuing.
      */
     bool restoreState(common::BinReader &in);
@@ -242,6 +244,11 @@ class InterleavedChecker
      * group↔set relation is bidirectional. O(state); test-only.
      */
     bool indexConsistent() const;
+
+    /** One past the largest identifier token a live set holds (0 when
+     *  none): a restore checks it against the interner it resolves
+     *  tokens through. */
+    std::size_t identifierTokenBound() const;
 
     /**
      * Attach an execution-lifecycle tracer (seer-scope, DESIGN.md
@@ -320,6 +327,10 @@ class InterleavedChecker
 
     /** Per-feed draw ordinal (several pools can draw per message). */
     std::uint32_t pickSalt = 0;
+
+    /** Whether a restored image's groups, identifier sets, relations
+     *  and next ids fit together the way live state always does. */
+    bool restoredStateConsistent() const;
 
     /** Pure deterministic pick: index into a pool of `pool_size`. */
     std::size_t equivalencePickIndex(std::size_t pool_size);

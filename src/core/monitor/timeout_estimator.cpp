@@ -16,6 +16,13 @@ TimeoutPolicy::timeoutForCandidates(
     const std::vector<std::string> &tasks) const
 {
     ++resolutions;
+    // No per-task entries (the usual configuration): every candidate
+    // resolves to the default, so skip the per-name lookups.
+    if (perTask.empty()) {
+        ++defaultFallbacks;
+        return tasks.empty() ? defaultTimeout
+                             : std::max(0.0, defaultTimeout);
+    }
     bool any_entry = false;
     for (const std::string &task : tasks) {
         if (perTask.count(task)) {

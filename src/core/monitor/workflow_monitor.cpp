@@ -363,13 +363,14 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
         message.tpl =
             catalogPtr->find(record.service, parsedBody.templateText);
         message.identifiers.clear();
+        logging::IdentifierInterner &interner =
+            logging::IdentifierInterner::process();
         for (const logging::Variable &var : parsedBody.variables) {
             if (var.kind == logging::VariableKind::Number &&
                 !config.numbersAsIdentifiers) {
                 continue;
             }
-            logging::IdToken token =
-                logging::IdentifierInterner::process().intern(var.text);
+            logging::IdToken token = interner.intern(var.text);
             // A capped interner refuses new identifiers; the message
             // checks on without the refused token (degraded routing
             // precision, bounded memory).
@@ -956,6 +957,13 @@ WorkflowMonitor::restoreState(common::BinReader &in)
         return false;
     if (!checker.restoreState(in))
         return false;
+    // Reports render tokens through the process interner, which the
+    // vault restores first: every token must name one of its entries.
+    if (checker.identifierTokenBound() >
+        logging::IdentifierInterner::process().size()) {
+        in.fail();
+        return false;
+    }
 
     bool has_obs = in.readBool();
     if (!in.ok() || has_obs != (obsPtr != nullptr)) {

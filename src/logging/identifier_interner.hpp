@@ -20,6 +20,17 @@
  * memory. Epoch-based compaction once all id-sets referencing a token
  * have retired is still future work (DESIGN.md §9).
  *
+ * Layout (DESIGN.md §9.2): each text is one std::string in a deque,
+ * which never moves its elements, so text() hands out a stable
+ * reference. The index is a flat open-addressed table of 4-byte slots
+ * (power-of-two capacity, linear probing, load at most 3/4) holding
+ * token + 1, with 0 for an empty slot; a parallel per-token hash lets
+ * a probe compare hashes before it touches text, and lets growth
+ * re-slot every entry without re-hashing a string. A new identifier
+ * therefore costs one heap allocation (its text, when it is longer
+ * than the string's inline buffer); a 36-character UUID costs 85
+ * bytes in all with glibc (alloc_budget_test pins both).
+ *
  * Snapshot/restore (seer-vault): snapshotState writes the full
  * token→text table; restoreState re-interns each text in token order
  * and demands the resulting token match the saved one. That holds in
@@ -27,6 +38,7 @@
  * table only grows) and in a fresh process whose interner has not
  * diverged — restoring over an incompatible table refuses rather
  * than silently renumbering, because checker state stores raw tokens.
+ * The table layout is never serialised.
  */
 
 #ifndef CLOUDSEER_LOGGING_IDENTIFIER_INTERNER_HPP
@@ -37,7 +49,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "common/binio.hpp"
 
@@ -115,8 +127,10 @@ class IdentifierInterner
      * token order. Fails (returns false, table untouched beyond the
      * re-interns already applied) when any text resolves to a token
      * other than the saved one — i.e. when this process's table has
-     * diverged from the snapshot's. Tallies and the capacity are
-     * overwritten on success.
+     * diverged from the snapshot's — and, before touching the table,
+     * when the entry count is more than the rest of the image could
+     * hold. The index is sized once for the image's entries. Tallies
+     * and the capacity are overwritten on success.
      */
     bool restoreState(common::BinReader &in);
 
@@ -124,10 +138,28 @@ class IdentifierInterner
     static IdentifierInterner &process();
 
   private:
-    /** token -> text. A deque never moves its elements, so each text
-     *  is stored once here and `index` keys on views of it. */
+    /** Slot that holds `value`, or the empty slot where it would go.
+     *  The table must not be empty. */
+    std::size_t slotOf(std::string_view value, std::uint32_t hash) const;
+
+    /** First empty slot on `hash`'s probe path. */
+    std::size_t freeSlot(std::uint32_t hash) const;
+
+    /** Give `value` the next token; `slot` is its empty slot in the
+     *  current table (re-found if the table grows). */
+    IdToken append(std::string_view value, std::uint32_t hash,
+                   std::size_t slot);
+
+    /** Grow the table, if needed, so that `entries` fit at load 3/4. */
+    void reserveEntries(std::size_t entries);
+
+    /** token -> text. A deque never moves its elements, so text()
+     *  references stay valid as the table grows. */
     std::deque<std::string> tokens;
-    std::unordered_map<std::string_view, IdToken> index;
+    /** Open-addressed index: 0 = empty, otherwise token + 1. */
+    std::vector<std::uint32_t> slots;
+    /** token -> hash of its text. */
+    std::vector<std::uint32_t> hashes;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
     std::size_t maxEntries = 0; ///< 0 = unlimited

@@ -1083,12 +1083,11 @@ frameOffsets(const std::string &bytes)
  * One mutant of `golden`: flipped bytes, a truncation, a splice with
  * `other` (the other kind of vault file, or itself), a duplicated
  * frame, or flipped payload bytes under a re-sealed CRC — the case
- * that reaches the decoders behind the checksum. Frame `unsealed` is
- * never re-sealed.
+ * that reaches the decoders behind the checksum.
  */
 std::string
 mutate(const std::string &golden, const std::string &other,
-       common::Rng &rng, std::size_t unsealed = SIZE_MAX)
+       common::Rng &rng)
 {
     std::string bytes = golden;
     auto pick = [&rng](std::size_t size) {
@@ -1128,8 +1127,6 @@ mutate(const std::string &golden, const std::string &other,
         if (frames.empty())
             break;
         std::size_t frame = pick(frames.size() - 1);
-        if (frame == unsealed)
-            break;
         std::size_t at = frames[frame];
         std::size_t len = reference::decodeU32(bytes.data() + at);
         if (len == 0)
@@ -1275,11 +1272,8 @@ TEST_F(VaultMonitorTest, MutatedVaultFilesScanLikeTheWholeFileReader)
         const std::string what = "iteration " + std::to_string(iter);
         // Mutate the checkpoint, the ledger, or both.
         const int target = iter % 3;
-        // The Monitor section (frame 2) is not re-sealed: its decoder
-        // trusts the cross-references inside a CRC-valid image.
         const std::string ckpt =
-            target == 1 ? golden_ckpt
-                        : mutate(golden_ckpt, golden_wal, rng, 2);
+            target == 1 ? golden_ckpt : mutate(golden_ckpt, golden_wal, rng);
         const std::string wal =
             target == 0 ? golden_wal : mutate(golden_wal, golden_ckpt, rng);
         // The mutant is on disk before anything reads it, so a crash
