@@ -6,6 +6,7 @@
 #include <pthread.h>
 #include <signal.h>
 #include <sys/time.h>
+#include <ucontext.h>
 
 #if defined(__linux__) && defined(__GLIBC__)
 #include <execinfo.h>
@@ -30,20 +31,18 @@ struct ThreadStackBounds
 thread_local ThreadStackBounds tlsBounds;
 
 /**
- * Walk the frame-pointer chain from the current frame, innermost
- * first. Every dereference is bounds-checked against the cached stack
- * extent and the chain must be strictly ascending and aligned, so a
- * build that omits frame pointers just terminates early instead of
- * faulting. Returns the number of return addresses written.
+ * Walk the frame-pointer chain from frame `fp`, innermost first. Every
+ * dereference is bounds-checked against the cached stack extent and
+ * the chain must be strictly ascending and aligned, so a build that
+ * omits frame pointers just terminates early instead of faulting.
+ * Returns the number of return addresses written.
  */
 int
-walkFramePointers(void **out, int max)
+walkFramePointers(std::uintptr_t fp, void **out, int max)
 {
     const ThreadStackBounds &bounds = tlsBounds;
     if (!bounds.ready || max <= 0)
         return 0;
-    std::uintptr_t fp =
-        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
     int count = 0;
     while (count < max) {
         if (fp < bounds.lo || fp + 2 * sizeof(void *) > bounds.hi ||
@@ -96,7 +95,9 @@ warmStackCapture()
 int
 captureStack(void **out, int max)
 {
-    int count = walkFramePointers(out, max);
+    int count = walkFramePointers(
+        reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)), out,
+        max);
     // A healthy frame-pointer build yields a deep chain; anything
     // shorter means the chain was cut by FP omission — fall back to
     // the unwinder, which reads .eh_frame instead.
@@ -108,6 +109,40 @@ captureStack(void **out, int max)
 #else
     return count;
 #endif
+}
+
+int
+captureInterruptedStack(const void *ucontext, void **out, int max)
+{
+    std::uintptr_t pc = 0;
+    std::uintptr_t fp = 0;
+#if defined(__linux__) && defined(__x86_64__)
+    if (ucontext != nullptr) {
+        const mcontext_t &mc =
+            static_cast<const ucontext_t *>(ucontext)->uc_mcontext;
+        pc = static_cast<std::uintptr_t>(mc.gregs[REG_RIP]);
+        fp = static_cast<std::uintptr_t>(mc.gregs[REG_RBP]);
+    }
+#elif defined(__linux__) && defined(__aarch64__)
+    if (ucontext != nullptr) {
+        const mcontext_t &mc =
+            static_cast<const ucontext_t *>(ucontext)->uc_mcontext;
+        pc = static_cast<std::uintptr_t>(mc.pc);
+        fp = static_cast<std::uintptr_t>(mc.regs[29]);
+    }
+#else
+    (void)ucontext;
+#endif
+    if (pc != 0 && max > 1) {
+        // The interrupted PC is the leaf; the chain from the
+        // interrupted frame pointer gives its callers (the first is
+        // the caller's caller when the leaf keeps no frame).
+        out[0] = reinterpret_cast<void *>(pc);
+        int count = 1 + walkFramePointers(fp, out + 1, max - 1);
+        if (count >= 3)
+            return count;
+    }
+    return captureStack(out, max);
 }
 
 bool

@@ -5,7 +5,8 @@
  * seer-probe sampling profiler (DESIGN.md §17).
  *
  * The capture path is built to be callable from inside a SIGPROF
- * handler: a frame-pointer walk bounded by the current thread's stack
+ * handler: the interrupted PC from the signal's ucontext, then a
+ * frame-pointer walk bounded by the current thread's stack
  * extent (cached per thread in normal context, never computed in the
  * handler), falling back to glibc `backtrace()` when the chain is cut
  * short by frame-pointer omission. `backtrace()` lazily dlopens
@@ -42,6 +43,18 @@ void warmStackCapture();
  * nothing could be captured).
  */
 int captureStack(void **out, int max);
+
+/**
+ * Capture the stack a signal interrupted, innermost first, from the
+ * `ucontext` a SA_SIGINFO handler receives: the interrupted PC is the
+ * first frame (the function that was running, not its caller), then
+ * the frame-pointer chain from the interrupted frame pointer. A frame
+ * chain cut short, or a platform whose context this does not read
+ * (only x86-64 and aarch64 Linux are), falls back to captureStack(),
+ * whose frames begin inside the handler. Async-signal-safe under the
+ * same conditions as captureStack().
+ */
+int captureInterruptedStack(const void *ucontext, void **out, int max);
 
 /**
  * A process-CPU-time profiling timer delivering SIGPROF at a fixed

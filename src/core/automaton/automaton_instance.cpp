@@ -308,32 +308,11 @@ InstanceArena::materialiseAdjacency(Header &h)
     repair.ownAdjacency = true;
 }
 
-int
-InstanceArena::nextPendingEvent(const Header &h,
-                                logging::TemplateId tpl) const
-{
-    int best = -1;
-    int best_occurrence = 0;
-    const char *flags = done.data() + h.offset;
-    for (std::size_t i = 0; i < h.spec->eventCount(); ++i) {
-        if (flags[i])
-            continue;
-        const EventNode &node = h.spec->event(static_cast<int>(i));
-        if (node.tpl != tpl)
-            continue;
-        if (best == -1 || node.occurrence < best_occurrence) {
-            best = static_cast<int>(i);
-            best_occurrence = node.occurrence;
-        }
-    }
-    return best;
-}
-
 bool
 InstanceArena::canConsume(std::size_t i, logging::TemplateId tpl) const
 {
     const Header &h = headers[i];
-    int event = nextPendingEvent(h, tpl);
+    int event = h.spec->nextPendingEvent(tpl, done.data() + h.offset);
     return event != -1 &&
            remainingPreds[h.offset + static_cast<std::size_t>(event)] == 0;
 }
@@ -343,7 +322,7 @@ InstanceArena::consume(std::size_t i, logging::TemplateId tpl,
                        common::SimTime now)
 {
     Header &h = headers[i];
-    int event = nextPendingEvent(h, tpl);
+    int event = h.spec->nextPendingEvent(tpl, done.data() + h.offset);
     if (event == -1 ||
         remainingPreds[h.offset + static_cast<std::size_t>(event)] != 0) {
         return false;
@@ -420,7 +399,7 @@ InstanceArena::removeFalseDependencies(std::size_t i,
                                        logging::TemplateId tpl)
 {
     Header &h = headers[i];
-    int event = nextPendingEvent(h, tpl);
+    int event = h.spec->nextPendingEvent(tpl, done.data() + h.offset);
     if (event == -1)
         return false;
     int *remaining = remainingPreds.data() + h.offset;

@@ -196,7 +196,6 @@ class InstanceArena
      *  an adjacency that lists every edge from both ends, and
      *  predecessor counts that match it. */
     bool consistent(const Header &h) const;
-    int nextPendingEvent(const Header &h, logging::TemplateId tpl) const;
     void moveInstance(std::size_t from, std::size_t to,
                       std::uint32_t offset);
     void truncate(std::size_t count, std::uint32_t events);

@@ -1,6 +1,7 @@
 #include "core/automaton/task_automaton.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -30,6 +31,35 @@ TaskAutomaton::TaskAutomaton(std::string task_name,
         if (succList[i].empty())
             finals.push_back(static_cast<int>(i));
     }
+
+    // The per-template index: event ids sorted by (template,
+    // occurrence, id), one run per template. Algorithm 1's lookup takes
+    // the first event of a run that is still pending.
+    std::size_t templates = 0;
+    for (const EventNode &node : eventNodes) {
+        if (node.tpl != logging::kInvalidTemplate)
+            templates = std::max<std::size_t>(templates, node.tpl + 1);
+    }
+    templateOffsets.assign(templates + 1, 0);
+    for (std::size_t i = 0; i < eventNodes.size(); ++i) {
+        const logging::TemplateId tpl = eventNodes[i].tpl;
+        if (tpl == logging::kInvalidTemplate)
+            continue;
+        templateEvents.push_back(static_cast<int>(i));
+        ++templateOffsets[tpl + 1];
+    }
+    std::partial_sum(templateOffsets.begin(), templateOffsets.end(),
+                     templateOffsets.begin());
+    std::sort(templateEvents.begin(), templateEvents.end(),
+              [this](int a, int b) {
+                  const EventNode &x = eventNodes[static_cast<std::size_t>(a)];
+                  const EventNode &y = eventNodes[static_cast<std::size_t>(b)];
+                  if (x.tpl != y.tpl)
+                      return x.tpl < y.tpl;
+                  return x.occurrence != y.occurrence
+                             ? x.occurrence < y.occurrence
+                             : a < b;
+              });
 }
 
 const EventNode &
@@ -75,31 +105,6 @@ TaskAutomaton::joinStates() const
         if (predList[i].size() > 1)
             out.push_back(static_cast<int>(i));
     }
-    return out;
-}
-
-bool
-TaskAutomaton::containsTemplate(logging::TemplateId tpl) const
-{
-    for (const EventNode &node : eventNodes) {
-        if (node.tpl == tpl)
-            return true;
-    }
-    return false;
-}
-
-std::vector<int>
-TaskAutomaton::eventsForTemplate(logging::TemplateId tpl) const
-{
-    std::vector<int> out;
-    for (std::size_t i = 0; i < eventNodes.size(); ++i) {
-        if (eventNodes[i].tpl == tpl)
-            out.push_back(static_cast<int>(i));
-    }
-    std::sort(out.begin(), out.end(), [this](int a, int b) {
-        return eventNodes[static_cast<std::size_t>(a)].occurrence <
-               eventNodes[static_cast<std::size_t>(b)].occurrence;
-    });
     return out;
 }
 

@@ -17,6 +17,8 @@
 #ifndef CLOUDSEER_CORE_AUTOMATON_TASK_AUTOMATON_HPP
 #define CLOUDSEER_CORE_AUTOMATON_TASK_AUTOMATON_HPP
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,10 +92,41 @@ class TaskAutomaton
     std::vector<int> joinStates() const;
 
     /** True iff the template is in this automaton's input set Σ. */
-    bool containsTemplate(logging::TemplateId tpl) const;
+    bool containsTemplate(logging::TemplateId tpl) const
+    {
+        return !eventsForTemplate(tpl).empty();
+    }
 
-    /** Event ids for a template, in occurrence order (maybe empty). */
-    std::vector<int> eventsForTemplate(logging::TemplateId tpl) const;
+    /**
+     * Event ids for a template, ordered by (occurrence, event id); empty
+     * when the template is not in Σ. A view of the per-template index,
+     * valid as long as the automaton.
+     */
+    std::span<const int>
+    eventsForTemplate(logging::TemplateId tpl) const
+    {
+        if (std::size_t{tpl} + 1 >= templateOffsets.size())
+            return {};
+        const std::uint32_t first = templateOffsets[tpl];
+        return {templateEvents.data() + first,
+                templateOffsets[tpl + 1] - first};
+    }
+
+    /**
+     * Algorithm 1's lookup of "the next unconsumed occurrence of tpl":
+     * the first event of tpl's run whose flag in `consumed` (one flag
+     * per event, by id) is clear — the lowest pending occurrence, ties
+     * to the lowest id — or -1 when none is pending.
+     */
+    int
+    nextPendingEvent(logging::TemplateId tpl, const char *consumed) const
+    {
+        for (int event : eventsForTemplate(tpl)) {
+            if (!consumed[event])
+                return event;
+        }
+        return -1;
+    }
 
     /** Graphviz rendering for docs and the mining-explorer example. */
     std::string toDot(const logging::TemplateCatalog &catalog) const;
@@ -109,6 +142,17 @@ class TaskAutomaton
     std::vector<std::vector<int>> succList;
     std::vector<int> initials;
     std::vector<int> finals;
+    /**
+     * Per-template event index, built once by the constructor (the
+     * automaton is immutable, so it never goes stale). TemplateIds are
+     * dense catalog indices: template t's events are
+     * templateEvents[templateOffsets[t], templateOffsets[t + 1]), in
+     * (occurrence, id) order. templateOffsets has one entry per
+     * template up to the largest in Σ, plus one; kInvalidTemplate is
+     * never indexed.
+     */
+    std::vector<std::uint32_t> templateOffsets;
+    std::vector<int> templateEvents;
 };
 
 } // namespace cloudseer::core

@@ -36,13 +36,15 @@ std::atomic<Profiler *> gActiveProfiler{nullptr};
 
 /** The signal trampoline's address (libc's __restore_rt), learned
  *  from the handler's own return address: the kernel pushes it as
- *  the frame the handler returns to, so it shows up in every walked
- *  stack — usually unnamed (libc keeps it private), so collect()
- *  strips it by address rather than by symbol. */
+ *  the frame the handler returns to, so it shows up in every stack
+ *  walked from the handler's frame (the fallback when the interrupted
+ *  context yields no frame chain) — usually unnamed (libc keeps it
+ *  private), so collect() strips it by address rather than by
+ *  symbol. */
 std::atomic<std::uintptr_t> gSigTrampoline{0};
 
 extern "C" void
-profilerSignalHandler(int)
+profilerSignalHandler(int, siginfo_t *, void *ucontext)
 {
     // The handler may interrupt code mid-errno-check; everything
     // below is async-signal-safe (atomics, bounded stack walk, plain
@@ -55,7 +57,7 @@ profilerSignalHandler(int)
     Profiler *profiler =
         gActiveProfiler.load(std::memory_order_acquire);
     if (profiler != nullptr)
-        profiler->recordSample();
+        profiler->recordSample(ucontext);
     errno = saved_errno;
 }
 
@@ -116,6 +118,7 @@ isProfilerFrame(const std::string &symbol)
     static const char *kInternal[] = {
         "captureStack",     "walkFramePointers", "recordSample",
         "profilerSignalHandler", "__restore_rt",  "backtrace",
+        "captureInterruptedStack",
     };
     for (const char *needle : kInternal)
         if (symbol.find(needle) != std::string::npos)
@@ -436,9 +439,12 @@ Profiler::start()
     gAllocTracking.store(true, std::memory_order_relaxed);
 #endif
     struct sigaction action = {};
-    action.sa_handler = &profilerSignalHandler;
+    // SA_SIGINFO hands the handler the interrupted context, whose PC
+    // names the function that was running (a walk from the handler's
+    // own frame starts at that function's caller).
+    action.sa_sigaction = &profilerSignalHandler;
     sigemptyset(&action.sa_mask);
-    action.sa_flags = SA_RESTART;
+    action.sa_flags = SA_RESTART | SA_SIGINFO;
     if (sigaction(SIGPROF, &action, &oldAction_) != 0) {
         gActiveProfiler.store(nullptr, std::memory_order_release);
         return false;
@@ -478,7 +484,7 @@ Profiler::stop()
 }
 
 void
-Profiler::recordSample() noexcept
+Profiler::recordSample(const void *ucontext) noexcept
 {
     std::uint64_t index =
         writeIndex_.fetch_add(1, std::memory_order_relaxed);
@@ -488,7 +494,8 @@ Profiler::recordSample() noexcept
     }
     RawSample &slot = ring_[index];
     slot.stageWord = detail::tlsStageWord;
-    int depth = common::captureStack(slot.frames, kMaxFrames);
+    int depth =
+        common::captureInterruptedStack(ucontext, slot.frames, kMaxFrames);
     slot.depth = static_cast<std::uint16_t>(std::max(depth, 0));
     slot.ready.store(1, std::memory_order_release);
 }

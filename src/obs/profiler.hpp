@@ -190,7 +190,8 @@ public:
     static bool allocTrackingCompiledIn();
 
     /// @cond internal — handler-side entry point, not user API.
-    void recordSample() noexcept;
+    /// `ucontext` is the SA_SIGINFO handler's third argument.
+    void recordSample(const void *ucontext) noexcept;
     /// @endcond
 
 private:

@@ -2,12 +2,15 @@
  * @file
  * Unit and property tests for task automata and their instances:
  * fork/join token semantics (paper Fig. 3 / Table 1), acceptance of
- * all linear extensions, and false-dependency removal (paper Fig. 4).
+ * all linear extensions, and false-dependency removal (paper Fig. 4);
+ * and the per-template event index, held to the scans it replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "common/rng.hpp"
 #include "core/automaton/automaton_instance.hpp"
 #include "core/mining/dependency_miner.hpp"
+#include "eval/modeling_harness.hpp"
 #include "test_util.hpp"
 
 using namespace cloudseer;
@@ -586,3 +590,260 @@ TEST_P(LinearExtensionProperty, AcceptsTrainingAndRandomExtensions)
 
 INSTANTIATE_TEST_SUITE_P(RandomWorkflows, LinearExtensionProperty,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// --- per-template event index vs the scans it replaced ------------------
+
+namespace {
+
+/** Verbatim copy of InstanceArena::nextPendingEvent's scan before the
+ *  per-template index (the reference for the index's lookup). */
+int
+referenceNextPendingEvent(const TaskAutomaton &spec, const char *flags,
+                          logging::TemplateId tpl)
+{
+    int best = -1;
+    int best_occurrence = 0;
+    for (std::size_t i = 0; i < spec.eventCount(); ++i) {
+        if (flags[i])
+            continue;
+        const EventNode &node = spec.event(static_cast<int>(i));
+        if (node.tpl != tpl)
+            continue;
+        if (best == -1 || node.occurrence < best_occurrence) {
+            best = static_cast<int>(i);
+            best_occurrence = node.occurrence;
+        }
+    }
+    return best;
+}
+
+/** The old containsTemplate loop. */
+bool
+referenceContainsTemplate(const TaskAutomaton &spec,
+                          logging::TemplateId tpl)
+{
+    for (std::size_t i = 0; i < spec.eventCount(); ++i) {
+        if (spec.event(static_cast<int>(i)).tpl == tpl)
+            return true;
+    }
+    return false;
+}
+
+/** The old eventsForTemplate loop, with its occurrence ties ordered
+ *  by id (its std::sort left them unordered). */
+std::vector<int>
+referenceEventsForTemplate(const TaskAutomaton &spec,
+                           logging::TemplateId tpl)
+{
+    std::vector<int> out;
+    for (std::size_t i = 0; i < spec.eventCount(); ++i) {
+        if (spec.event(static_cast<int>(i)).tpl == tpl)
+            out.push_back(static_cast<int>(i));
+    }
+    std::stable_sort(out.begin(), out.end(), [&spec](int a, int b) {
+        return spec.event(a).occurrence < spec.event(b).occurrence;
+    });
+    return out;
+}
+
+/** Every template of Σ, one template outside it, and the invalid id. */
+std::vector<logging::TemplateId>
+probeTemplates(const TaskAutomaton &spec)
+{
+    std::vector<logging::TemplateId> out;
+    logging::TemplateId largest = 0;
+    for (std::size_t i = 0; i < spec.eventCount(); ++i) {
+        logging::TemplateId tpl = spec.event(static_cast<int>(i)).tpl;
+        if (std::find(out.begin(), out.end(), tpl) == out.end())
+            out.push_back(tpl);
+        largest = std::max(largest, tpl);
+    }
+    out.push_back(largest + 1);
+    out.push_back(logging::kInvalidTemplate);
+    return out;
+}
+
+/** The 8 mined Table 2 automata. */
+const std::vector<TaskAutomaton> &
+minedAutomata()
+{
+    static const eval::ModeledSystem system = [] {
+        eval::ModelingConfig config;
+        config.minRuns = 40;
+        config.maxRuns = 150;
+        return eval::buildModels(config);
+    }();
+    return system.automata;
+}
+
+/**
+ * Templates repeated at occurrences 0…3, listed out of occurrence
+ * order, with a fork and a join: A#2 and A#3 run in parallel with B#1.
+ */
+TaskAutomaton
+repeatedOccurrences(LetterCatalog &letters)
+{
+    const logging::TemplateId a = letters.id("A");
+    const logging::TemplateId b = letters.id("B");
+    const logging::TemplateId c = letters.id("C");
+    std::vector<EventNode> events = {
+        {a, 3}, {b, 1}, {a, 0}, {c, 0}, {a, 2}, {b, 0}, {a, 1}, {c, 1}};
+    // A#0 -> B#0 -> A#1 -> C#0 -> {A#2 -> A#3, B#1} -> C#1
+    std::vector<DependencyEdge> edges = {
+        {2, 5, false}, {5, 6, false}, {6, 3, false}, {3, 4, false},
+        {3, 1, false}, {4, 0, false}, {0, 7, false}, {1, 7, false}};
+    return TaskAutomaton("repeated", std::move(events), std::move(edges));
+}
+
+/**
+ * Duplicate (template, occurrence) pairs, which seer-lint's SL007
+ * refuses at load; built directly, they must still resolve to the
+ * lowest id among the tied events.
+ */
+TaskAutomaton
+duplicatePairs(LetterCatalog &letters)
+{
+    const logging::TemplateId a = letters.id("A");
+    const logging::TemplateId b = letters.id("B");
+    const logging::TemplateId d = letters.id("D");
+    std::vector<EventNode> events = {{a, 0}, {b, 1}, {b, 0}, {b, 0},
+                                     {d, 0}, {b, 1}, {a, 0}};
+    std::vector<DependencyEdge> edges = {
+        {0, 2, false}, {0, 3, false}, {2, 1, false}, {3, 5, false},
+        {1, 4, false}, {5, 4, false}, {4, 6, false}};
+    return TaskAutomaton("duplicates", std::move(events),
+                         std::move(edges));
+}
+
+/** Index lookups and the two template queries against the old loops,
+ *  for every probe template over `subsets` seeded random consumed
+ *  sets. */
+void
+checkIndexAgainstScans(const TaskAutomaton &spec, std::uint64_t seed,
+                       int subsets)
+{
+    SCOPED_TRACE(spec.name());
+    const std::vector<logging::TemplateId> probes = probeTemplates(spec);
+    for (logging::TemplateId tpl : probes) {
+        EXPECT_EQ(spec.containsTemplate(tpl),
+                  referenceContainsTemplate(spec, tpl))
+            << "template " << tpl;
+        std::span<const int> indexed = spec.eventsForTemplate(tpl);
+        EXPECT_EQ(std::vector<int>(indexed.begin(), indexed.end()),
+                  referenceEventsForTemplate(spec, tpl))
+            << "template " << tpl;
+    }
+    common::Rng rng(seed);
+    std::vector<char> flags(spec.eventCount());
+    for (int s = 0; s < subsets; ++s) {
+        // Densities from empty to full, so that runs are found pending
+        // at their start, middle and end, and exhausted.
+        const double density = static_cast<double>(s % 11) / 10.0;
+        for (char &flag : flags)
+            flag = rng.chance(density) ? 1 : 0;
+        for (logging::TemplateId tpl : probes) {
+            ASSERT_EQ(spec.nextPendingEvent(tpl, flags.data()),
+                      referenceNextPendingEvent(spec, flags.data(), tpl))
+                << "template " << tpl << ", subset " << s;
+        }
+    }
+}
+
+/**
+ * Drive an instance through `steps` seeded random templates of Σ,
+ * consuming when enabled and otherwise repairing (recovery d) and
+ * then consuming, and check at every state that each probe template's
+ * canConsume, consume and removeFalseDependencies take the event the
+ * reference scan names over the instance's consumed flags. Adds the
+ * edges the walk removed to `repaired`.
+ */
+void
+checkInstanceAgainstScan(const TaskAutomaton &spec, std::uint64_t seed,
+                         int steps, std::size_t &repaired)
+{
+    SCOPED_TRACE(spec.name());
+    const std::vector<logging::TemplateId> probes = probeTemplates(spec);
+    common::Rng rng(seed);
+    AutomatonInstance instance(&spec);
+    for (int step = 0; step < steps && !instance.accepting(); ++step) {
+        for (logging::TemplateId tpl : probes) {
+            const int want = referenceNextPendingEvent(
+                spec, instance.consumedFlags().data(), tpl);
+            AutomatonInstance taking = instance;
+            const bool took = taking.consume(tpl);
+            EXPECT_EQ(instance.canConsume(tpl), took);
+            if (want == -1) {
+                EXPECT_FALSE(took) << "template " << tpl;
+            } else if (took) {
+                EXPECT_EQ(taking.lastConsumedEvent(), want)
+                    << "template " << tpl << ", step " << step;
+            }
+            AutomatonInstance repairing = instance;
+            ASSERT_EQ(repairing.removeFalseDependencies(tpl), want != -1)
+                << "template " << tpl << ", step " << step;
+            if (want != -1) {
+                ASSERT_TRUE(repairing.consume(tpl));
+                EXPECT_EQ(repairing.lastConsumedEvent(), want);
+            }
+        }
+        const logging::TemplateId next = probes[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(probes.size()) - 3))];
+        if (!instance.consume(next) &&
+            instance.removeFalseDependencies(next)) {
+            ASSERT_TRUE(instance.consume(next));
+        }
+    }
+    repaired += instance.removedDependencyCount();
+}
+
+} // namespace
+
+TEST(TemplateIndex, MatchesTheScansOnMinedTable2Automata)
+{
+    const std::vector<TaskAutomaton> &automata = minedAutomata();
+    ASSERT_EQ(automata.size(), 8u);
+    std::uint64_t seed = 1;
+    for (const TaskAutomaton &spec : automata)
+        checkIndexAgainstScans(spec, seed++, 400);
+}
+
+TEST(TemplateIndex, MatchesTheScansOnRepeatedOccurrences)
+{
+    LetterCatalog letters;
+    TaskAutomaton spec = repeatedOccurrences(letters);
+    std::span<const int> a = spec.eventsForTemplate(letters.id("A"));
+    EXPECT_EQ(std::vector<int>(a.begin(), a.end()),
+              (std::vector<int>{2, 6, 4, 0}));
+    checkIndexAgainstScans(spec, 11, 2000);
+}
+
+TEST(TemplateIndex, DuplicateOccurrencesResolveToTheLowestId)
+{
+    LetterCatalog letters;
+    TaskAutomaton spec = duplicatePairs(letters);
+    // (occurrence, id) order: B#0 as e2 then e3, B#1 as e1 then e5.
+    std::span<const int> b = spec.eventsForTemplate(letters.id("B"));
+    EXPECT_EQ(std::vector<int>(b.begin(), b.end()),
+              (std::vector<int>{2, 3, 1, 5}));
+    std::span<const int> a = spec.eventsForTemplate(letters.id("A"));
+    EXPECT_EQ(std::vector<int>(a.begin(), a.end()),
+              (std::vector<int>{0, 6}));
+    checkIndexAgainstScans(spec, 12, 2000);
+}
+
+TEST(TemplateIndex, InstancesAndRepairsTakeTheScansEvent)
+{
+    LetterCatalog letters;
+    std::vector<TaskAutomaton> specs = {repeatedOccurrences(letters),
+                                        duplicatePairs(letters)};
+    for (const TaskAutomaton &mined : minedAutomata())
+        specs.push_back(mined);
+    std::uint64_t seed = 100;
+    std::size_t repaired = 0;
+    for (const TaskAutomaton &spec : specs) {
+        for (int walk = 0; walk < 30; ++walk)
+            checkInstanceAgainstScan(spec, seed++, 60, repaired);
+    }
+    EXPECT_GT(repaired, 0u) << "no walk reached a repaired instance";
+    std::printf("walks removed %zu false dependencies\n", repaired);
+}

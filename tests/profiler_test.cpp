@@ -33,6 +33,40 @@
 using namespace cloudseer;
 using namespace cloudseer::obs;
 
+/**
+ * A leaf busy loop: it calls nothing, so a sample that interrupts it
+ * must name it as the innermost frame. External linkage (not in the
+ * anonymous namespace) so that the exported symbol table, which the
+ * profiler's dladdr reads, names it.
+ */
+__attribute__((noinline)) std::uint64_t
+profilerTestLeafSpin(std::uint64_t rounds)
+{
+    std::uint64_t x = rounds;
+    for (std::uint64_t i = 0; i < rounds; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        asm volatile("" : "+r"(x));
+    }
+    return x;
+}
+
+/** Runs the leaf for about `seconds` of process CPU time. */
+__attribute__((noinline)) std::uint64_t
+profilerTestCallerOfLeaf(double seconds)
+{
+    auto spent = [] {
+        timespec ts = {};
+        clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+        return static_cast<double>(ts.tv_sec) +
+               1e-9 * static_cast<double>(ts.tv_nsec);
+    };
+    double start = spent();
+    std::uint64_t sink = 0;
+    while (spent() - start < seconds)
+        sink ^= profilerTestLeafSpin(1u << 18);
+    return sink;
+}
+
 namespace {
 
 /** Current SIGPROF disposition, for pinning install/restore. */
@@ -294,6 +328,45 @@ TEST(ProfilerTest, SamplesBusyLoopUnderItsStageTag)
     }
     EXPECT_NEAR(parsed.taggedFraction(), profile.taggedFraction(),
                 1e-9);
+}
+
+TEST(ProfilerTest, NamesTheInterruptedLeafFunction)
+{
+    // The handler reads the interrupted PC from its ucontext, so the
+    // function that was running is the innermost frame. A walk from
+    // the handler's own frame starts at the interrupted function's
+    // caller (its caller's caller for a frameless leaf like this one)
+    // and would miss the leaf in every sample.
+    ProfilerConfig config;
+    config.enabled = true;
+    config.hz = 997;
+    Profiler profiler(config);
+    ASSERT_TRUE(profiler.start());
+    std::uint64_t sink = 0;
+    {
+        StageScope scope(ProfStage::Check);
+        sink = profilerTestCallerOfLeaf(0.3);
+    }
+    profiler.stop();
+    EXPECT_NE(sink, 1u); // keep the loop's result alive
+
+    Profile profile = profiler.collect();
+    std::uint64_t check = 0;
+    std::uint64_t leaf = 0;
+    for (const ProfileStack &stack : profile.stacks) {
+        if (stack.stage != ProfStage::Check)
+            continue;
+        check += stack.count;
+        if (!stack.frames.empty() &&
+            stack.frames.back().find("profilerTestLeafSpin") !=
+                std::string::npos)
+            leaf += stack.count;
+    }
+    std::printf("leaf innermost in %llu of %llu check samples\n",
+                static_cast<unsigned long long>(leaf),
+                static_cast<unsigned long long>(check));
+    ASSERT_GT(check, 0u) << "no SIGPROF ticks landed in the leaf loop";
+    EXPECT_GE(2 * leaf, check) << profile.toFolded();
 }
 
 TEST(ProfilerTest, RecordsTheRateItDelivered)

@@ -20,6 +20,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include <unistd.h>
+
 #include "common/binio.hpp"
 #include "common/rng.hpp"
 #include "core/mining/latency_profile.hpp"
@@ -36,13 +38,14 @@ using namespace cloudseer::core;
 
 namespace {
 
-/** Fresh per-test scratch directory under the system temp root. */
+/** Fresh per-test scratch directory under the system temp root; the
+ *  process id in its name keeps concurrent runs apart. */
 class VaultDir
 {
   public:
     explicit VaultDir(const std::string &name)
         : path((std::filesystem::temp_directory_path() /
-                ("cloudseer_" + name))
+                ("cloudseer_" + name + "_" + std::to_string(::getpid())))
                    .string())
     {
         std::filesystem::remove_all(path);
@@ -1066,15 +1069,19 @@ expectSameCheckpoint(const vault::CheckpointScan &got,
     EXPECT_EQ(got.sections, want.sections) << what;
 }
 
-/** Offsets of the frames of an intact framed file. */
+/** Offsets of the frames of a framed file, up to the first frame
+ *  whose header or payload does not fit in it. */
 std::vector<std::size_t>
 frameOffsets(const std::string &bytes)
 {
     std::vector<std::size_t> out;
     std::size_t pos = reference::kHeaderBytes;
-    while (bytes.size() - pos >= 8) {
+    while (pos <= bytes.size() && bytes.size() - pos >= 8) {
+        const std::size_t length = reference::decodeU32(bytes.data() + pos);
+        if (length > bytes.size() - pos - 8)
+            break;
         out.push_back(pos);
-        pos += 8 + reference::decodeU32(bytes.data() + pos);
+        pos += 8 + length;
     }
     return out;
 }
