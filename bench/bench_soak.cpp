@@ -73,6 +73,7 @@ struct EpochRow
     std::uint64_t memoryEvictions = 0;  ///< cumulative
     std::uint64_t capRejected = 0;      ///< cumulative
     std::uint64_t checkpoints = 0;      ///< cumulative
+    std::uint64_t checkpointsFailed = 0; ///< cumulative
     double checkpointMs = 0.0;          ///< explicit end-of-epoch one
     std::uint64_t checkpointBytes = 0;
     std::uint64_t walPeakBytes = 0;
@@ -126,6 +127,7 @@ toJson(const std::vector<EpochRow> &rows, bool smoke,
             << ", \"memory_evictions\": " << row.memoryEvictions
             << ", \"interner_cap_rejected\": " << row.capRejected
             << ", \"checkpoints\": " << row.checkpoints
+            << ", \"checkpoints_failed\": " << row.checkpointsFailed
             << ", \"checkpoint_ms\": " << row.checkpointMs
             << ", \"checkpoint_bytes\": " << row.checkpointBytes
             << ", \"wal_peak_bytes\": " << row.walPeakBytes
@@ -399,6 +401,7 @@ main(int argc, char **argv)
         row.memoryEvictions = ingest.memoryEvictions;
         row.capRejected = interner.capRejected;
         row.checkpoints = vaulted->stats().checkpointsTaken;
+        row.checkpointsFailed = vaulted->stats().checkpointsFailed;
         row.checkpointBytes = vaulted->stats().lastCheckpointBytes;
         max_rss_kb = std::max(max_rss_kb, row.rssKb);
         rows.push_back(row);

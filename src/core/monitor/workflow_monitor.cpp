@@ -13,7 +13,6 @@
 #include "common/version.hpp"
 #include "core/monitor/report_json.hpp"
 #include "logging/identifier_interner.hpp"
-#include "logging/record_binio.hpp"
 
 namespace cloudseer::core {
 
@@ -197,12 +196,11 @@ WorkflowMonitor::WorkflowMonitor(
 std::vector<MonitorReport>
 WorkflowMonitor::feed(const logging::LogRecord &record)
 {
-    return admit(record, nullptr);
+    return admit(record, false);
 }
 
 std::vector<MonitorReport>
-WorkflowMonitor::admit(const logging::LogRecord &record,
-                       logging::LogRecord *owned)
+WorkflowMonitor::admit(const logging::LogRecord &record, bool parked)
 {
     // seer-probe: everything from arrival onward samples as "sink"
     // unless an interior stage (parse/route/check/verdict) re-tags.
@@ -228,20 +226,13 @@ WorkflowMonitor::admit(const logging::LogRecord &record,
     }
 
     if (config.ingest.reorderWindowSeconds > 0.0) {
-        // The buffer takes a record it owns, in the storage of one it
-        // released earlier: feedLine's record is swapped in (its
-        // scratch gets the spare storage back), a caller's is copied.
-        // Record strings thus circulate instead of being reallocated.
-        logging::LogRecord entry;
-        if (!spareRecords.empty()) {
-            entry = std::move(spareRecords.back());
-            spareRecords.pop_back();
-        }
-        if (owned != nullptr)
-            std::swap(entry, *owned);
-        else
-            entry = record;
-        bufferAndRelease(std::move(entry), reports);
+        // The record goes into a free pool slot, which still holds the
+        // strings of a record released earlier: feedLine decoded into
+        // it already, a caller's record is copied over them. Record
+        // strings thus stay in the pool instead of being reallocated.
+        if (!parked)
+            reorderBuffer.vacant() = record;
+        bufferAndRelease(reports);
     } else {
         deliver(record, reports);
     }
@@ -261,48 +252,22 @@ WorkflowMonitor::admit(const logging::LogRecord &record,
 }
 
 void
-WorkflowMonitor::bufferAndRelease(logging::LogRecord &&record,
-                                  std::vector<MonitorReport> &reports)
+WorkflowMonitor::bufferAndRelease(std::vector<MonitorReport> &reports)
 {
-    highestSeen = std::max(highestSeen, record.timestamp);
-
-    // Keep the buffer sorted by (timestamp, arrival seq). Streams are
-    // mostly ordered, so scanning from the back finds the insertion
-    // point in O(1) amortized.
-    BufferedRecord entry{std::move(record), nextSeq++};
-    auto pos = reorderBuffer.end();
-    while (pos != reorderBuffer.begin()) {
-        auto prev = std::prev(pos);
-        if (prev->record.timestamp <= entry.record.timestamp)
-            break;
-        pos = prev;
-    }
-    reorderBuffer.insert(pos, std::move(entry));
     ingest.reorderBufferPeak =
-        std::max(ingest.reorderBufferPeak, reorderBuffer.size());
+        std::max(ingest.reorderBufferPeak, reorderBuffer.insert());
 
     // Watermark release: a record is ripe once everything that could
     // still precede it (within the window) must already have arrived.
-    common::SimTime watermark =
-        highestSeen - config.ingest.reorderWindowSeconds;
-    while (!reorderBuffer.empty() &&
-           reorderBuffer.front().record.timestamp <= watermark) {
-        logging::LogRecord ripe =
-            std::move(reorderBuffer.front().record);
-        reorderBuffer.pop_front();
-        deliver(ripe, reports);
-        spareRecords.push_back(std::move(ripe));
-    }
-    // Overflow: force the oldest out rather than buffering unboundedly
+    // Overflow forces the oldest out rather than buffering unboundedly
     // (a stuck node clock must not wedge the monitor).
-    while (reorderBuffer.size() > config.ingest.reorderBufferCap) {
-        logging::LogRecord forced =
-            std::move(reorderBuffer.front().record);
-        reorderBuffer.pop_front();
-        ++ingest.forcedReleases;
-        deliver(forced, reports);
-        spareRecords.push_back(std::move(forced));
-    }
+    reorderBuffer.release(
+        config.ingest.reorderWindowSeconds, config.ingest.reorderBufferCap,
+        [&](const logging::LogRecord &record, bool forced) {
+            if (forced)
+                ++ingest.forcedReleases;
+            deliver(record, reports);
+        });
 }
 
 void
@@ -421,36 +386,8 @@ WorkflowMonitor::deliver(const logging::LogRecord &record,
                                    std::chars_format::fixed, 6);
         dedupKey.append(digits, stamp.ptr);
 
-        // Expired keys hand their storage to the next ones: map nodes
-        // and queue strings are refilled, not reallocated.
-        double window = config.ingest.dedupWindowSeconds;
-        while (!recentOrder.empty() &&
-               recentOrder.front().first < now - window) {
-            auto &[stamp, old_key] = recentOrder.front();
-            auto it = recentKeys.find(old_key);
-            if (it != recentKeys.end() && it->second <= stamp)
-                spareKeyNodes.push_back(recentKeys.extract(it));
-            spareKeys.push_back(std::move(old_key));
-            recentOrder.pop_front();
-        }
-        auto it = recentKeys.find(dedupKey);
-        const bool inserted = it == recentKeys.end();
-        if (inserted && spareKeyNodes.empty()) {
-            it = recentKeys.emplace(dedupKey, now).first;
-        } else if (inserted) {
-            spareKeyNodes.back().key() = dedupKey;
-            it = recentKeys.insert(std::move(spareKeyNodes.back())).position;
-            spareKeyNodes.pop_back();
-        }
-        it->second = now;
-        if (spareKeys.empty()) {
-            recentOrder.emplace_back(now, dedupKey);
-        } else {
-            spareKeys.back().assign(dedupKey);
-            recentOrder.emplace_back(now, std::move(spareKeys.back()));
-            spareKeys.pop_back();
-        }
-        if (!inserted) {
+        if (recentKeys.admit(dedupKey, now,
+                             config.ingest.dedupWindowSeconds)) {
             ++ingest.duplicatesSuppressed;
             suppressed = true;
         }
@@ -532,8 +469,12 @@ WorkflowMonitor::feedLine(std::string_view line)
     if (staged)
         sinkStart = std::chrono::steady_clock::now();
 
+    // With the reorder window on, decode straight into the buffer's
+    // free slot; admit() then parks it where it lies.
+    const bool parked = config.ingest.reorderWindowSeconds > 0.0;
+    logging::LogRecord &target = parked ? reorderBuffer.vacant() : lineRecord;
     logging::DecodeFailure why = logging::DecodeFailure::None;
-    const bool decoded = logging::decodeLogLineInto(line, lineRecord, &why);
+    const bool decoded = logging::decodeLogLineInto(line, target, &why);
 
     if (staged) {
         stageSink->record(std::chrono::duration<double, std::micro>(
@@ -566,7 +507,7 @@ WorkflowMonitor::feedLine(std::string_view line)
             obsPtr->flight()->record("<malformed>", lastTimestamp, line);
         return {};
     }
-    return admit(lineRecord, &lineRecord);
+    return admit(target, parked);
 }
 
 std::vector<MonitorReport>
@@ -576,12 +517,9 @@ WorkflowMonitor::finish()
 
     // Flush the reorder buffer: at end of stream every parked record
     // is ripe by definition.
-    while (!reorderBuffer.empty()) {
-        logging::LogRecord ripe =
-            std::move(reorderBuffer.front().record);
-        reorderBuffer.pop_front();
-        deliver(ripe, reports);
-    }
+    reorderBuffer.flush([&](const logging::LogRecord &record) {
+        deliver(record, reports);
+    });
 
     if (!anyFed)
         return reports;
@@ -867,19 +805,8 @@ WorkflowMonitor::saveState(common::BinWriter &out) const
         out.writeU8(static_cast<std::uint8_t>(entry.cause));
     }
 
-    out.writeU64(reorderBuffer.size());
-    for (const BufferedRecord &entry : reorderBuffer) {
-        logging::writeLogRecord(out, entry.record);
-        out.writeU64(entry.seq);
-    }
-    out.writeF64(highestSeen);
-    out.writeU64(nextSeq);
-
-    out.writeU64(recentOrder.size());
-    for (const auto &[time, key] : recentOrder) {
-        out.writeF64(time);
-        out.writeString(key);
-    }
+    reorderBuffer.saveState(out);
+    recentKeys.saveState(out);
 
     timeoutPolicy.saveState(out);
     checker.saveState(out);
@@ -923,35 +850,10 @@ WorkflowMonitor::restoreState(common::BinReader &in)
         quarantined.push_back(std::move(entry));
     }
 
-    std::uint64_t buffered_count = in.readU64();
-    if (!in.ok())
+    if (!reorderBuffer.restoreState(in))
         return false;
-    reorderBuffer.clear();
-    for (std::uint64_t i = 0; i < buffered_count; ++i) {
-        BufferedRecord entry;
-        if (!logging::readLogRecord(in, entry.record))
-            return false;
-        entry.seq = in.readU64();
-        reorderBuffer.push_back(std::move(entry));
-    }
-    highestSeen = in.readF64();
-    nextSeq = in.readU64();
-
-    std::uint64_t recent_count = in.readU64();
-    if (!in.ok())
+    if (!recentKeys.restoreState(in))
         return false;
-    recentOrder.clear();
-    recentKeys.clear();
-    for (std::uint64_t i = 0; i < recent_count; ++i) {
-        double time = in.readF64();
-        std::string key = in.readString();
-        if (!in.ok())
-            return false;
-        // In-order overwrite reproduces the live map exactly: the
-        // newest occurrence of a key wins, as in deliver().
-        recentKeys[key] = time;
-        recentOrder.emplace_back(time, std::move(key));
-    }
 
     if (!timeoutPolicy.restoreState(in))
         return false;

@@ -20,12 +20,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
-#include "common/head_queue.hpp"
 #include "core/checker/interleaved_checker.hpp"
+#include "core/monitor/ingest_guards.hpp"
 #include "core/monitor/report.hpp"
 #include "core/monitor/timeout_estimator.hpp"
 #include "logging/log_codec.hpp"
@@ -486,13 +485,6 @@ class WorkflowMonitor
     bool restoreState(common::BinReader &in);
 
   private:
-    /** A record parked in the reorder buffer. */
-    struct BufferedRecord
-    {
-        logging::LogRecord record;
-        std::uint64_t seq = 0; ///< arrival order, for stable ties
-    };
-
     MonitorConfig config;
     TimeoutPolicy timeoutPolicy;
     std::shared_ptr<logging::TemplateCatalog> catalogPtr;
@@ -527,16 +519,10 @@ class WorkflowMonitor
     IngestStats ingest;
     std::vector<QuarantinedLine> quarantined;
 
-    // Reorder buffer state.
-    /** Kept timestamp-sorted; vector-backed, so a steady depth of
-     *  buffered records allocates nothing. */
-    common::HeadQueue<BufferedRecord> reorderBuffer;
-    common::SimTime highestSeen = 0.0;
-    std::uint64_t nextSeq = 0;
+    ReorderBuffer reorderBuffer;
 
-    // Dedup state: key -> newest message time, plus an expiry queue.
-    std::unordered_map<std::string, common::SimTime> recentKeys;
-    common::HeadQueue<std::pair<common::SimTime, std::string>> recentOrder;
+    /** Dedup state: keys delivered within the window. */
+    DedupWindow recentKeys;
 
     /** Scratch for flight-recorder line encoding (reused per record). */
     std::string flightScratch;
@@ -544,38 +530,30 @@ class WorkflowMonitor
     // Hot-path scratch (DESIGN.md §18): reused by every call, so the
     // steady state allocates only for state that outlives the call.
 
-    /** feedLine's decode target. */
+    /** feedLine's decode target when the reorder buffer is off. */
     logging::LogRecord lineRecord;
-    /** Records the reorder buffer released, kept as storage for the
-     *  records it takes in next; each one taken in uses one up, so the
-     *  pool never outgrows the buffer's peak. */
-    std::vector<logging::LogRecord> spareRecords;
     /** deliver's template/variable split of the record body. */
     logging::ParsedBody parsedBody;
     /** deliver's message to the checker. */
     CheckMessage checkMessage;
-    /** deliver's dedup key, built in place, and the storage of
-     *  expired keys (queue strings, map nodes) kept for new ones. */
+    /** deliver's dedup key, built in place. */
     std::string dedupKey;
-    std::vector<std::string> spareKeys;
-    std::vector<std::unordered_map<std::string, common::SimTime>::node_type>
-        spareKeyNodes;
 
     /**
-     * feed()'s body. `owned`, when non-null, is `record` itself handed
-     * over by the caller: the reorder buffer then swaps it in instead
-     * of copying it.
+     * feed()'s body. `parked` says `record` is reorderBuffer.vacant()
+     * itself, decoded into by feedLine, so the buffer takes it where
+     * it lies instead of copying it.
      */
     std::vector<MonitorReport> admit(const logging::LogRecord &record,
-                                     logging::LogRecord *owned);
+                                     bool parked);
 
     /** Guarded delivery: clock, dedup, checker, shedding. */
     void deliver(const logging::LogRecord &record,
                  std::vector<MonitorReport> &reports);
 
-    /** Insert into the reorder buffer and release ripe records. */
-    void bufferAndRelease(logging::LogRecord &&record,
-                          std::vector<MonitorReport> &reports);
+    /** Park the record filled into reorderBuffer.vacant() and
+     *  deliver the records it releases. */
+    void bufferAndRelease(std::vector<MonitorReport> &reports);
 
     /**
      * Freeze the flight-recorder context into one forensic bundle per

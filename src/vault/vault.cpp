@@ -356,29 +356,32 @@ writeCheckpoint(
         sections)
 {
     const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out.is_open() ||
-            !writeFileHeader(out, kCheckpointMagic)) {
-            return 0;
-        }
-        char kind_word[4];
-        for (const auto &[kind, body] : sections) {
-            putU32(kind_word, static_cast<std::uint32_t>(kind));
-            writeFrame(out, std::string_view(kind_word, 4), body);
-        }
-        putU32(kind_word,
-               static_cast<std::uint32_t>(CheckpointSection::End));
-        writeFrame(out, std::string_view(kind_word, 4));
-        out.close();
-        if (out.fail()) {
-            return 0;
-        }
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out.is_open()) {
+        return 0;
     }
+    // From here on the temp file is ours: a failure removes it, so no
+    // partial image outlives the attempt.
+    auto discard = [&tmp] {
+        std::error_code ignored;
+        std::filesystem::remove(tmp, ignored);
+        return std::uint64_t{0};
+    };
+    if (!writeFileHeader(out, kCheckpointMagic)) {
+        return discard();
+    }
+    char kind_word[4];
+    for (const auto &[kind, body] : sections) {
+        putU32(kind_word, static_cast<std::uint32_t>(kind));
+        writeFrame(out, std::string_view(kind_word, 4), body);
+    }
+    putU32(kind_word, static_cast<std::uint32_t>(CheckpointSection::End));
+    writeFrame(out, std::string_view(kind_word, 4));
+    out.close();
     std::error_code ec;
     auto size = std::filesystem::file_size(tmp, ec);
-    if (ec || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        return 0;
+    if (out.fail() || ec || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        return discard();
     }
     return static_cast<std::uint64_t>(size);
 }

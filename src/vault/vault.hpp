@@ -82,6 +82,7 @@ struct VaultStats
 {
     std::uint64_t walAppends = 0;      ///< frames appended to the ledger
     std::uint64_t checkpointsTaken = 0;
+    std::uint64_t checkpointsFailed = 0; ///< write or rename failed
     std::uint64_t lastCheckpointBytes = 0; ///< size of the newest image
     std::uint64_t walBytes = 0;        ///< current ledger size, bytes
 };
@@ -314,10 +315,11 @@ LedgerScan readLedger(const std::string &path);
 /**
  * Write a checkpoint image atomically: sections are framed into
  * `path.tmp`, terminated by an End section, then renamed over `path`.
- * Returns the image size in bytes (0 on failure). `sections` pairs
- * each CheckpointSection with a view of its serialised body (Meta
- * first by convention; readers locate sections by kind, not
- * position). Bodies are written straight from the caller's buffers.
+ * Returns the image size in bytes (0 on failure, after removing the
+ * temp file if this call created it). `sections` pairs each
+ * CheckpointSection with a view of its serialised body (Meta first by
+ * convention; readers locate sections by kind, not position). Bodies
+ * are written straight from the caller's buffers.
  */
 std::uint64_t writeCheckpoint(
     const std::string &path,

@@ -237,12 +237,16 @@ VaultedMonitor::checkpoint()
         {{CheckpointSection::Meta, meta_bytes},
          {CheckpointSection::Interner, internerImage.bytes()},
          {CheckpointSection::Monitor, monitorImage.bytes()}});
+    // A failed attempt also restarts the interval: retrying on every
+    // input would serialise the whole state per input while the
+    // directory stays unwritable.
+    inputsSinceCheckpoint = 0;
     if (bytes == 0) {
+        ++tallies.checkpointsFailed;
         return false;
     }
     ++tallies.checkpointsTaken;
     tallies.lastCheckpointBytes = bytes;
-    inputsSinceCheckpoint = 0;
     return ledger->rotate();
 }
 

@@ -4,15 +4,26 @@
  * quarantine, the non-monotonic timestamp guard, near-duplicate
  * suppression, the reorder buffer, group-cap shedding, and the
  * bit-identical pass-through guarantee of the default configuration.
+ * The dedup window and the reorder buffer are also held, decision by
+ * decision and byte by byte, to verbatim copies of the containers they
+ * replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdio>
+#include <functional>
+#include <unordered_map>
 
+#include "common/binio.hpp"
+#include "common/head_queue.hpp"
+#include "common/rng.hpp"
+#include "core/monitor/ingest_guards.hpp"
 #include "core/monitor/report_json.hpp"
 #include "core/monitor/workflow_monitor.hpp"
 #include "logging/log_codec.hpp"
+#include "logging/record_binio.hpp"
 
 using namespace cloudseer;
 using namespace cloudseer::core;
@@ -70,7 +81,7 @@ class IngestTest : public ::testing::Test
     static std::string
     uuid(int which)
     {
-        char buf[37];
+        char buf[48];
         std::snprintf(buf, sizeof buf,
                       "%08d-1111-2222-3333-444444444444", which);
         return buf;
@@ -394,4 +405,432 @@ TEST_F(IngestTest, CleanStreamReportsBitIdenticalAcrossProfiles)
     EXPECT_EQ(stats.groupsShed, 0u);
     EXPECT_EQ(stats.forcedReleases, 0u);
     EXPECT_EQ(stats.nonMonotonicClamped, 0u);
+}
+
+// --- Guards against their former containers ------------------------
+
+namespace {
+
+/**
+ * The dedup window as WorkflowMonitor kept it before DedupWindow: an
+ * unordered_map of key -> newest time plus an expiry queue of
+ * (time, key), with spare strings and map nodes recycled. admit() is
+ * the former block of deliver() verbatim, returning its verdict;
+ * saveState() is the former section of WorkflowMonitor::saveState.
+ */
+class ReferenceDedup
+{
+  public:
+    bool
+    admit(const std::string &dedupKey, common::SimTime now,
+          double dedupWindowSeconds)
+    {
+        // Expired keys hand their storage to the next ones: map nodes
+        // and queue strings are refilled, not reallocated.
+        double window = dedupWindowSeconds;
+        while (!recentOrder.empty() &&
+               recentOrder.front().first < now - window) {
+            auto &[stamp, old_key] = recentOrder.front();
+            auto it = recentKeys.find(old_key);
+            if (it != recentKeys.end() && it->second <= stamp)
+                spareKeyNodes.push_back(recentKeys.extract(it));
+            spareKeys.push_back(std::move(old_key));
+            recentOrder.pop_front();
+        }
+        auto it = recentKeys.find(dedupKey);
+        const bool inserted = it == recentKeys.end();
+        if (inserted && spareKeyNodes.empty()) {
+            it = recentKeys.emplace(dedupKey, now).first;
+        } else if (inserted) {
+            spareKeyNodes.back().key() = dedupKey;
+            it = recentKeys.insert(std::move(spareKeyNodes.back())).position;
+            spareKeyNodes.pop_back();
+        }
+        it->second = now;
+        if (spareKeys.empty()) {
+            recentOrder.emplace_back(now, dedupKey);
+        } else {
+            spareKeys.back().assign(dedupKey);
+            recentOrder.emplace_back(now, std::move(spareKeys.back()));
+            spareKeys.pop_back();
+        }
+        return !inserted;
+    }
+
+    void
+    saveState(common::BinWriter &out) const
+    {
+        out.writeU64(recentOrder.size());
+        for (const auto &[time, key] : recentOrder) {
+            out.writeF64(time);
+            out.writeString(key);
+        }
+    }
+
+  private:
+    std::unordered_map<std::string, common::SimTime> recentKeys;
+    common::HeadQueue<std::pair<common::SimTime, std::string>> recentOrder;
+    std::vector<std::string> spareKeys;
+    std::vector<std::unordered_map<std::string, common::SimTime>::node_type>
+        spareKeyNodes;
+};
+
+/**
+ * The reorder buffer before the slot pool: sorted (record, seq) pairs
+ * in a HeadQueue. bufferAndRelease() is the former member verbatim,
+ * with deliver() handing each record to a callback and the ingest
+ * counters kept here; saveState() is the former section.
+ */
+class ReferenceReorder
+{
+  public:
+    struct BufferedRecord
+    {
+        logging::LogRecord record;
+        std::uint64_t seq = 0; ///< arrival order, for stable ties
+    };
+
+    IngestConfig config;
+    struct
+    {
+        std::size_t reorderBufferPeak = 0;
+        std::uint64_t forcedReleases = 0;
+    } ingest;
+    std::function<void(const logging::LogRecord &)> deliverTo;
+
+    void
+    bufferAndRelease(logging::LogRecord &&record)
+    {
+        highestSeen = std::max(highestSeen, record.timestamp);
+
+        // Keep the buffer sorted by (timestamp, arrival seq). Streams are
+        // mostly ordered, so scanning from the back finds the insertion
+        // point in O(1) amortized.
+        BufferedRecord entry{std::move(record), nextSeq++};
+        auto pos = reorderBuffer.end();
+        while (pos != reorderBuffer.begin()) {
+            auto prev = std::prev(pos);
+            if (prev->record.timestamp <= entry.record.timestamp)
+                break;
+            pos = prev;
+        }
+        reorderBuffer.insert(pos, std::move(entry));
+        ingest.reorderBufferPeak =
+            std::max(ingest.reorderBufferPeak, reorderBuffer.size());
+
+        // Watermark release: a record is ripe once everything that could
+        // still precede it (within the window) must already have arrived.
+        common::SimTime watermark =
+            highestSeen - config.reorderWindowSeconds;
+        while (!reorderBuffer.empty() &&
+               reorderBuffer.front().record.timestamp <= watermark) {
+            logging::LogRecord ripe =
+                std::move(reorderBuffer.front().record);
+            reorderBuffer.pop_front();
+            deliver(ripe);
+            spareRecords.push_back(std::move(ripe));
+        }
+        // Overflow: force the oldest out rather than buffering unboundedly
+        // (a stuck node clock must not wedge the monitor).
+        while (reorderBuffer.size() > config.reorderBufferCap) {
+            logging::LogRecord forced =
+                std::move(reorderBuffer.front().record);
+            reorderBuffer.pop_front();
+            ++ingest.forcedReleases;
+            deliver(forced);
+            spareRecords.push_back(std::move(forced));
+        }
+    }
+
+    /** The former flush at the top of WorkflowMonitor::finish(). */
+    void
+    finish()
+    {
+        while (!reorderBuffer.empty()) {
+            logging::LogRecord ripe =
+                std::move(reorderBuffer.front().record);
+            reorderBuffer.pop_front();
+            deliver(ripe);
+        }
+    }
+
+    void
+    saveState(common::BinWriter &out) const
+    {
+        out.writeU64(reorderBuffer.size());
+        for (const BufferedRecord &entry : reorderBuffer) {
+            logging::writeLogRecord(out, entry.record);
+            out.writeU64(entry.seq);
+        }
+        out.writeF64(highestSeen);
+        out.writeU64(nextSeq);
+    }
+
+  private:
+    common::HeadQueue<BufferedRecord> reorderBuffer;
+    common::SimTime highestSeen = 0.0;
+    std::uint64_t nextSeq = 0;
+    std::vector<logging::LogRecord> spareRecords;
+
+    void deliver(const logging::LogRecord &record) { deliverTo(record); }
+};
+
+/** One record as it left the reorder buffer and met the dedup window. */
+struct Delivery
+{
+    logging::RecordId id = 0;
+    bool forced = false;
+    bool suppressed = false;
+
+    bool
+    operator==(const Delivery &other) const
+    {
+        return id == other.id && forced == other.forced &&
+               suppressed == other.suppressed;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &out, const Delivery &delivery)
+{
+    return out << "{" << delivery.id << (delivery.forced ? " forced" : "")
+               << (delivery.suppressed ? " suppressed" : "") << "}";
+}
+
+/**
+ * The monitor's clock guard and dedup key around a window: the clock
+ * never moves back, a backwards stamp is clamped to it, and the key
+ * carries the record's original stamp ("%f"), as deliver() builds it.
+ */
+template <typename Window>
+struct GuardedWindow
+{
+    Window window;
+    common::SimTime clock = 0.0;
+    std::string key;
+
+    bool
+    admit(const logging::LogRecord &record, double seconds)
+    {
+        clock = std::max(clock, record.timestamp);
+        key.assign(record.node);
+        key += '\x1f';
+        key += record.service;
+        key += '\x1f';
+        key += record.body;
+        key += '\x1f';
+        char digits[320];
+        auto stamp = std::to_chars(digits, digits + sizeof(digits),
+                                   record.timestamp,
+                                   std::chars_format::fixed, 6);
+        key.append(digits, stamp.ptr);
+        return window.admit(key, clock, seconds);
+    }
+};
+
+/**
+ * A seeded adverse stream on a 0.25 s grid, where every sum and
+ * difference is exact: runs of equal stamps, exact redeliveries of
+ * recent records (some inside the dedup window, some just at or past
+ * its edge), stamps skewed back by up to 2 s (past the reorder window,
+ * so they reach the clock guard out of order), and bursts that fill a
+ * small reorder buffer.
+ */
+std::vector<logging::LogRecord>
+adverseStream(std::uint64_t seed, int count)
+{
+    common::Rng rng(seed);
+    std::vector<logging::LogRecord> out;
+    double t = 0.0;
+    logging::RecordId next = 1;
+    while (static_cast<int>(out.size()) < count) {
+        if (!out.empty() && rng.chance(0.2)) {
+            // Redelivery: same bytes, same stamp, fresh record id.
+            std::size_t back = static_cast<std::size_t>(rng.uniformInt(
+                1, std::min(12, static_cast<int>(out.size()))));
+            logging::LogRecord again = out[out.size() - back];
+            again.id = next++;
+            out.push_back(std::move(again));
+            continue;
+        }
+        t += 0.25 * rng.uniformInt(0, 2);
+        logging::LogRecord record;
+        record.id = next++;
+        record.timestamp = rng.chance(0.15)
+                               ? std::max(0.0, t - 0.25 * rng.uniformInt(1, 8))
+                               : t;
+        record.node = rng.chance(0.5) ? "controller" : "compute-1";
+        record.service = rng.chance(0.5) ? "svc-a" : "svc-b";
+        record.body = "op " + std::to_string(rng.uniformInt(0, 5));
+        out.push_back(std::move(record));
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * Drive the slot-pooled buffer and the flat window, and the verbatim
+ * former containers, through the same monitor pipeline (reorder, clock
+ * guard, dedup) over seeded adverse streams. Every input must release
+ * the same records in the same order, forced or not, with the same
+ * suppression verdicts and peak. At random points both sides' state
+ * images must be byte-identical; the new side is then replaced by a
+ * fresh buffer and window restored from the reference's image.
+ */
+TEST(IngestGuards, MatchTheirFormerContainersDecisionByDecision)
+{
+    std::size_t suppressed = 0, forced = 0, restores = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        common::Rng rng(seed * 7919);
+        const double reorder_window = 0.25 * rng.uniformInt(1, 4);
+        const double dedup_window = 0.25 * rng.uniformInt(2, 8);
+        const std::size_t cap =
+            static_cast<std::size_t>(rng.uniformInt(2, 6));
+
+        ReferenceReorder refBuffer;
+        refBuffer.config.reorderWindowSeconds = reorder_window;
+        refBuffer.config.reorderBufferCap = cap;
+        GuardedWindow<ReferenceDedup> refWindow;
+        std::vector<Delivery> expected;
+        refBuffer.deliverTo = [&](const logging::LogRecord &record) {
+            expected.push_back({record.id, false,
+                                refWindow.admit(record, dedup_window)});
+        };
+
+        auto buffer = std::make_unique<ReorderBuffer>();
+        auto window = std::make_unique<GuardedWindow<DedupWindow>>();
+        std::size_t peak = 0;
+        std::vector<Delivery> got;
+
+        for (const logging::LogRecord &record : adverseStream(seed, 1500)) {
+            expected.clear();
+            got.clear();
+            const std::uint64_t refForced = refBuffer.ingest.forcedReleases;
+            refBuffer.bufferAndRelease(logging::LogRecord(record));
+
+            buffer->vacant() = record;
+            peak = std::max(peak, buffer->insert());
+            buffer->release(reorder_window, cap,
+                            [&](const logging::LogRecord &ripe,
+                                bool was_forced) {
+                                got.push_back({ripe.id, was_forced,
+                                               window->admit(
+                                                   ripe, dedup_window)});
+                            });
+
+            // The reference counts forced releases; they are its last
+            // deliveries of the input.
+            std::uint64_t refNewlyForced =
+                refBuffer.ingest.forcedReleases - refForced;
+            for (std::size_t i = expected.size() - refNewlyForced;
+                 i < expected.size(); ++i)
+                expected[i].forced = true;
+            ASSERT_EQ(got, expected)
+                << "seed " << seed << " record " << record.id;
+            ASSERT_EQ(peak, refBuffer.ingest.reorderBufferPeak)
+                << "seed " << seed << " record " << record.id;
+            for (const Delivery &delivery : got) {
+                suppressed += delivery.suppressed;
+                forced += delivery.forced;
+            }
+
+            if (rng.chance(0.03)) {
+                common::BinWriter ours, theirs;
+                buffer->saveState(ours);
+                window->window.saveState(ours);
+                refBuffer.saveState(theirs);
+                refWindow.window.saveState(theirs);
+                ASSERT_EQ(ours.bytes(), theirs.bytes())
+                    << "seed " << seed << " record " << record.id;
+
+                common::BinReader in(theirs.bytes());
+                buffer = std::make_unique<ReorderBuffer>();
+                auto fresh = std::make_unique<GuardedWindow<DedupWindow>>();
+                fresh->clock = window->clock;
+                ASSERT_TRUE(buffer->restoreState(in));
+                ASSERT_TRUE(fresh->window.restoreState(in));
+                ASSERT_TRUE(in.atEnd());
+                window = std::move(fresh);
+                ++restores;
+            }
+        }
+        // End of stream: both flush the same records in the same order.
+        expected.clear();
+        got.clear();
+        refBuffer.finish();
+        buffer->flush([&](const logging::LogRecord &ripe) {
+            got.push_back({ripe.id, false, window->admit(ripe, dedup_window)});
+        });
+        EXPECT_EQ(got, expected) << "seed " << seed << " flush";
+    }
+    // The streams reached every path being compared.
+    EXPECT_GT(suppressed, 200u);
+    EXPECT_GT(forced, 50u);
+    EXPECT_GT(restores, 100u);
+}
+
+/**
+ * A hardened monitor over a perturbed wire stream (redeliveries,
+ * backwards stamps, a small reorder cap) saved at random points and
+ * restored into a fresh monitor: the fresh one re-saves the same bytes
+ * and emits the uninterrupted monitor's reports to the end.
+ */
+TEST_F(IngestTest, RestoredGuardsContinueBitIdentically)
+{
+    IngestConfig ingest = hardenedIngestDefaults();
+    ingest.reorderWindowSeconds = 0.5;
+    ingest.reorderBufferCap = 3;
+    ingest.dedupWindowSeconds = 1.0;
+
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        common::Rng rng(seed);
+        std::vector<std::string> lines;
+        double t = 0.0;
+        for (int task = 1; lines.size() < 600; ++task) {
+            t += 0.25 * rng.uniformInt(0, 2);
+            double skew = rng.chance(0.2) ? 0.25 * rng.uniformInt(1, 6) : 0;
+            lines.push_back(
+                logging::encodeLogLine(ping(task, std::max(0.0, t - skew))));
+            if (rng.chance(0.3))
+                lines.push_back(lines.back()); // redelivery
+            if (rng.chance(0.8)) {
+                t += 0.25 * rng.uniformInt(0, 1);
+                lines.push_back(logging::encodeLogLine(pong(task, t)));
+            }
+        }
+
+        auto live = makeMonitor(ingest);
+        std::unique_ptr<WorkflowMonitor> resumed;
+        std::string left, right;
+        for (const std::string &line : lines) {
+            for (const MonitorReport &report : live->feedLine(line))
+                left += reportToJson(report, *catalog) + "\n";
+            if (resumed != nullptr) {
+                for (const MonitorReport &report : resumed->feedLine(line))
+                    right += reportToJson(report, *catalog) + "\n";
+            } else if (rng.chance(0.05)) {
+                common::BinWriter image;
+                live->saveState(image);
+                resumed = makeMonitor(ingest);
+                common::BinReader in(image.bytes());
+                ASSERT_TRUE(resumed->restoreState(in));
+                common::BinWriter again;
+                resumed->saveState(again);
+                ASSERT_EQ(again.bytes(), image.bytes()) << "seed " << seed;
+                left.clear();
+            }
+        }
+        ASSERT_NE(resumed, nullptr) << "seed " << seed;
+        for (const MonitorReport &report : live->finish())
+            left += reportToJson(report, *catalog) + "\n";
+        for (const MonitorReport &report : resumed->finish())
+            right += reportToJson(report, *catalog) + "\n";
+        EXPECT_EQ(left, right) << "seed " << seed;
+        EXPECT_GT(live->ingestStats().duplicatesSuppressed, 0u);
+        EXPECT_GT(live->ingestStats().forcedReleases, 0u);
+        EXPECT_GT(live->ingestStats().nonMonotonicClamped, 0u);
+        EXPECT_EQ(live->ingestStats().duplicatesSuppressed,
+                  resumed->ingestStats().duplicatesSuppressed);
+    }
 }

@@ -138,14 +138,45 @@ TEST(BinioTest, Crc32KnownAnswer)
 
 TEST(BinioTest, Crc32MatchesBitwiseReferenceAtEveryLength)
 {
-    // The production crc32 folds four bytes per step with a tail
-    // loop; sweep lengths 0..64 so every word/tail split is hit.
-    std::string data;
+    // Where the host has PCLMULQDQ, inputs of 64 bytes or more fold
+    // their 16-byte-multiple prefix 64 bytes per step and finish with
+    // the four-byte tables; shorter inputs take the tables alone.
+    // Lengths 0..1024 reach every fold count and tail split, and the
+    // start offsets 0..15 make every 16-byte load unaligned somewhere.
+    std::string buffer;
     common::Rng rng(7);
-    for (int len = 0; len <= 64; ++len) {
-        EXPECT_EQ(common::crc32(data), referenceCrc32(data))
-            << "length " << len;
-        data.push_back(static_cast<char>(rng.uniformInt(0, 255)));
+    for (int i = 0; i < 1024 + 16; ++i)
+        buffer.push_back(static_cast<char>(rng.uniformInt(0, 255)));
+    const std::string_view all(buffer);
+    int mismatches = 0;
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            std::string_view data = all.substr(offset, len);
+            if (common::crc32(data) != referenceCrc32(data)) {
+                ADD_FAILURE() << "offset " << offset << " length " << len;
+                if (++mismatches > 20)
+                    return;
+            }
+        }
+    }
+}
+
+TEST(BinioTest, Crc32ChainsAtEverySplit)
+{
+    // crc32(b, crc32(a)) == crc32(a + b) when either side, both or
+    // neither is long enough to fold.
+    std::string buffer;
+    common::Rng rng(13);
+    for (int i = 0; i < 300; ++i)
+        buffer.push_back(static_cast<char>(rng.uniformInt(0, 255)));
+    const std::string_view all(buffer);
+    const std::uint32_t whole = referenceCrc32(all);
+    ASSERT_EQ(common::crc32(all), whole);
+    for (std::size_t cut = 0; cut <= all.size(); ++cut) {
+        EXPECT_EQ(common::crc32(all.substr(cut),
+                                common::crc32(all.substr(0, cut))),
+                  whole)
+            << "cut " << cut;
     }
 }
 
@@ -729,6 +760,75 @@ TEST_F(VaultMonitorTest, KillRestoreFidelityAtRandomPoints)
                   render(reference.finish(), catalog))
             << "seed " << seed;
     }
+}
+
+/**
+ * A checkpoint that cannot be written (here its temp path is a
+ * directory, which no open can truncate) fails once and then waits a
+ * full interval, like a successful one; it does not retry on every
+ * input. The blocker is left alone, the ledger keeps every input, and
+ * once the path is free the next interval checkpoints and a restart
+ * recovers from it.
+ */
+TEST_F(VaultMonitorTest, FailedCheckpointWaitsAnIntervalThenRecovers)
+{
+    VaultDir dir("vault_ckpt_fail");
+    vault::VaultConfig vault_config;
+    vault_config.directory = dir.path;
+    vault_config.checkpointEveryRecords = 10;
+    std::vector<logging::LogRecord> records = workload(17, 40);
+    ASSERT_GE(records.size(), 60u);
+
+    WorkflowMonitor reference(config(false), catalog, automata());
+    std::vector<std::string> refBySeq(records.size() + 1);
+    for (std::size_t i = 0; i < records.size(); ++i)
+        refBySeq[i + 1] = render(reference.feed(records[i]), catalog);
+
+    const std::string blocker = vault::checkpointPath(dir.path) + ".tmp";
+    std::filesystem::create_directory(blocker);
+    auto vaulted = std::make_unique<vault::VaultedMonitor>(
+        vault_config, config(false), catalog, automata());
+    const vault::VaultStats fresh = vaulted->stats();
+    for (std::size_t i = 0; i < 35; ++i) {
+        ASSERT_EQ(render(vaulted->feed(records[i]), catalog),
+                  refBySeq[i + 1])
+            << "input " << i;
+        // One attempt per ten inputs, each failing.
+        EXPECT_EQ(vaulted->stats().checkpointsFailed,
+                  fresh.checkpointsFailed + (i + 1) / 10)
+            << "input " << i;
+    }
+    EXPECT_EQ(vaulted->stats().checkpointsTaken, fresh.checkpointsTaken);
+    EXPECT_TRUE(std::filesystem::is_directory(blocker));
+
+    std::filesystem::remove(blocker);
+    for (std::size_t i = 35; i < 52; ++i) {
+        ASSERT_EQ(render(vaulted->feed(records[i]), catalog),
+                  refBySeq[i + 1])
+            << "input " << i;
+    }
+    // Inputs 36..40 finish the interval that began at the third
+    // failure (input 30); input 50 ends the next one.
+    EXPECT_EQ(vaulted->stats().checkpointsFailed,
+              fresh.checkpointsFailed + 3);
+    EXPECT_EQ(vaulted->stats().checkpointsTaken,
+              fresh.checkpointsTaken + 2);
+    EXPECT_FALSE(std::filesystem::exists(blocker));
+    vaulted.reset();
+
+    auto restored = std::make_unique<vault::VaultedMonitor>(
+        vault_config, config(false), catalog, automata());
+    const vault::RecoverResult &rec = restored->recovery();
+    ASSERT_TRUE(rec.recovered) << rec.error;
+    EXPECT_EQ(rec.checkpointSeq, 50u);
+    EXPECT_EQ(rec.lastReplayedSeq, 52u);
+    for (std::size_t s = 53; s <= records.size(); ++s) {
+        ASSERT_EQ(render(restored->feed(records[s - 1]), catalog),
+                  refBySeq[s])
+            << "post-restore seq " << s;
+    }
+    EXPECT_EQ(render(restored->finish(), catalog),
+              render(reference.finish(), catalog));
 }
 
 TEST_F(VaultMonitorTest, RecoveryRefusesModelFingerprintMismatch)
