@@ -49,27 +49,74 @@ struct StampFields
     int year = 0, month = 0, day = 0, hh = 0, mm = 0, ss = 0, millis = 0;
 };
 
+/** Byte lanes `lanes` (bit i = lane i) as 0xff, the others 0. */
+constexpr Word
+byteLanes(unsigned lanes)
+{
+    Word out = 0;
+    for (int i = 0; i < 8; ++i) {
+        if ((lanes >> i) & 1u)
+            out |= Word{0xff} << (8 * i);
+    }
+    return out;
+}
+
+/** A word's bytes, given as text in lane order. */
+constexpr Word
+textWord(const char (&text)[9])
+{
+    Word out = 0;
+    for (int i = 0; i < 8; ++i)
+        out |= Word{static_cast<unsigned char>(text[i])} << (8 * i);
+    return out;
+}
+
 /**
- * Read `count` digits at `at`; false when any byte there is not a
- * digit. The caller has checked the length.
+ * One word of the canonical stamp: which lanes hold digits, and the
+ * bytes of the others.
  */
-bool
-readDigits(const char *at, int count, int &value)
+struct StampWord
+{
+    Word digits; ///< 0xff in each digit lane
+    Word punct;  ///< the separator bytes, 0 in digit lanes
+
+    constexpr StampWord(unsigned digit_lanes, const char (&text)[9])
+        : digits(byteLanes(digit_lanes)),
+          punct(textWord(text) & ~byteLanes(digit_lanes))
+    {
+    }
+
+    /** The word's digit lanes reduced to 0-9, or ~0 when `w` is off
+     *  the shape. Only digit lanes are reduced, so none borrows. */
+    constexpr Word
+    digitValues(Word w) const
+    {
+        if (digitMask(w) != (digits & kLaneHigh) || (w & ~digits) != punct)
+            return ~Word{0};
+        return (w & digits) - (repeatByte('0') & digits);
+    }
+};
+
+// "2016-01-12 00:00:02.287": the words at bytes 0, 8 and 15.
+constexpr StampWord kDateWord(0b01101111, "0000-00-");
+constexpr StampWord kClockWord(0b11011011, "00 00:00");
+constexpr StampWord kSecondWord(0b11101101, "0:00.000");
+
+/** The decimal value of `count` lanes of `values` from lane `first`. */
+constexpr int
+lanesValue(Word values, int first, int count)
 {
     int v = 0;
-    for (int i = 0; i < count; ++i) {
-        if (!isDigit(at[i]))
-            return false;
-        v = v * 10 + (at[i] - '0');
-    }
-    value = v;
-    return true;
+    for (int i = first; i < first + count; ++i)
+        v = v * 10 + static_cast<int>((values >> (8 * i)) & 0xff);
+    return v;
 }
 
 /**
  * The canonical stamp "dddd-dd-dd dd:dd:dd.ddd", exactly 23 bytes.
  * On this shape every "%d" of the sscanf format reads exactly its
- * digit group, so the fields are the ones sscanf would produce.
+ * digit group, so the fields are the ones sscanf would produce. The
+ * shape is checked a word at a time, at bytes 0, 8 and 15.
  *
  * @retval false when the text is not of that shape (the fields are then
  *         unspecified).
@@ -77,16 +124,22 @@ readDigits(const char *at, int count, int &value)
 bool
 parseCanonical(std::string_view text, StampFields &f)
 {
-    if (text.size() != 23 || text[4] != '-' || text[7] != '-' ||
-        text[10] != ' ' || text[13] != ':' || text[16] != ':' ||
-        text[19] != '.') {
+    if (text.size() != 23)
         return false;
-    }
     const char *s = text.data();
-    return readDigits(s, 4, f.year) && readDigits(s + 5, 2, f.month) &&
-           readDigits(s + 8, 2, f.day) && readDigits(s + 11, 2, f.hh) &&
-           readDigits(s + 14, 2, f.mm) && readDigits(s + 17, 2, f.ss) &&
-           readDigits(s + 20, 3, f.millis);
+    const Word date = kDateWord.digitValues(loadWord(s));
+    const Word clock = kClockWord.digitValues(loadWord(s + 8));
+    const Word second = kSecondWord.digitValues(loadWord(s + 15));
+    if (date == ~Word{0} || clock == ~Word{0} || second == ~Word{0})
+        return false;
+    f.year = lanesValue(date, 0, 4);
+    f.month = lanesValue(date, 5, 2);
+    f.day = lanesValue(clock, 0, 2);
+    f.hh = lanesValue(clock, 3, 2);
+    f.mm = lanesValue(clock, 6, 2);
+    f.ss = lanesValue(second, 2, 2);
+    f.millis = lanesValue(second, 5, 3);
+    return true;
 }
 
 /**

@@ -1,5 +1,7 @@
 #include "logging/log_codec.hpp"
 
+#include <algorithm>
+
 #include "common/char_class.hpp"
 #include "common/time_util.hpp"
 
@@ -7,17 +9,73 @@ namespace cloudseer::logging {
 
 namespace {
 
-/** Advance past one whitespace-delimited token; returns the token. */
-std::string_view
-takeToken(std::string_view line, std::size_t &pos)
+using common::kLaneHigh;
+using common::Word;
+
+constexpr std::ptrdiff_t kWordSpan = common::kWordBytes;
+
+/**
+ * The C-locale whitespace of a line, classified a word at a time as
+ * the scan reaches it. A token and the gap after it usually share a
+ * word, so the header's words are each loaded and classified once.
+ * Positions asked for never go back before the current word.
+ */
+class SpaceScan
 {
-    while (pos < line.size() && common::isSpace(line[pos]))
-        ++pos;
-    std::size_t start = pos;
-    while (pos < line.size() && !common::isSpace(line[pos]))
-        ++pos;
-    return line.substr(start, pos - start);
-}
+  public:
+    SpaceScan(const char *begin, const char *end)
+        : begin_(begin), end_(end)
+    {
+        if (begin < end)
+            classify(begin);
+    }
+
+    /** First byte at or after p that is whitespace (`Space`) or is
+     *  not, or the end of the line. */
+    template <bool Space>
+    const char *
+    find(const char *p)
+    {
+        while (p < end_) {
+            if (p - word_ >= kWordSpan)
+                classify(p);
+            // A lane past the end reads as a zero byte, which is not
+            // whitespace; a non-space found there is clipped to end.
+            const Word lanes = (Space ? spaces_ : ~spaces_ & kLaneHigh) >>
+                               (8 * (p - word_));
+            if (lanes != 0)
+                return std::min(p + common::firstLane(lanes), end_);
+            p = word_ + kWordSpan;
+        }
+        return end_;
+    }
+
+    /** Advance `p` past one whitespace-delimited token; returns it. */
+    std::string_view
+    takeToken(const char *&p)
+    {
+        p = find<false>(p);
+        const char *start = p;
+        p = find<true>(p);
+        return {start, static_cast<std::size_t>(p - start)};
+    }
+
+  private:
+    void
+    classify(const char *p)
+    {
+        word_ = p;
+        const Word w = end_ - p >= kWordSpan
+                           ? common::loadWord(p)
+                           : common::loadTail(begin_, p, end_);
+        spaces_ = common::spaceMask(w);
+    }
+
+    const char *begin_;
+    const char *end_;
+    const char *word_ = nullptr; ///< start of the classified word
+    Word spaces_ = 0;            ///< spaceMask of the word at word_
+};
 
 } // namespace
 
@@ -68,24 +126,27 @@ decodeLogLineInto(std::string_view line, LogRecord &record,
     if (why != nullptr)
         *why = DecodeFailure::None;
 
-    std::size_t pos = 0;
-    std::string_view date = takeToken(line, pos);
-    std::size_t date_start = pos - date.size();
-    std::string_view time = takeToken(line, pos);
+    const char *const begin = line.data();
+    const char *const end = begin + line.size();
+    SpaceScan scan(begin, end);
+    const char *p = begin;
+    std::string_view date = scan.takeToken(p);
+    std::string_view time = scan.takeToken(p);
     if (date.empty() || time.empty())
         return fail(DecodeFailure::BadTimestamp);
 
     // The stamp is parsed in place, gap included: the date token holds
     // no whitespace, and sscanf skips a whitespace run exactly as it
     // skips the single space the format names.
-    if (!common::parseTimestamp(line.substr(date_start, pos - date_start),
-                                record.timestamp)) {
+    if (!common::parseTimestamp(
+            {date.data(), static_cast<std::size_t>(p - date.data())},
+            record.timestamp)) {
         return fail(DecodeFailure::BadTimestamp);
     }
 
-    std::string_view node = takeToken(line, pos);
-    std::string_view service = takeToken(line, pos);
-    std::string_view level_text = takeToken(line, pos);
+    std::string_view node = scan.takeToken(p);
+    std::string_view service = scan.takeToken(p);
+    std::string_view level_text = scan.takeToken(p);
     if (node.empty())
         return fail(DecodeFailure::BadHeader);
     if (service.empty() || level_text.empty()) {
@@ -96,14 +157,13 @@ decodeLogLineInto(std::string_view line, LogRecord &record,
     if (!parseLogLevel(level_text, record.level))
         return fail(DecodeFailure::BadHeader);
 
-    while (pos < line.size() && common::isSpace(line[pos]))
-        ++pos;
-    if (pos == line.size())
+    p = scan.find<false>(p);
+    if (p == end)
         return fail(DecodeFailure::TruncatedPayload);
     record.id = 0;
     record.node.assign(node);
     record.service.assign(service);
-    record.body.assign(line.substr(pos));
+    record.body.assign(p, static_cast<std::size_t>(end - p));
     record.truthExecution = 0;
     record.truthTask.clear();
     return true;

@@ -6,6 +6,15 @@
  * the single owner of template text. Templates are keyed by the pair
  * (service, templateText) — identical text from different services is a
  * different workflow step.
+ *
+ * Layout (DESIGN.md §18): ids index a vector of entries in insertion
+ * order. The index is a flat open-addressed table of 4-byte slots
+ * (power-of-two capacity, linear probing, load at most 3/4) holding
+ * id + 1, with 0 for an empty slot, like the identifier interner's
+ * (DESIGN.md §9.2). A parallel per-id hash lets a probe compare hashes
+ * before it touches text, and lets growth re-slot every entry without
+ * re-hashing a string; a hit is confirmed against the stored service
+ * and text.
  */
 
 #ifndef CLOUDSEER_LOGGING_TEMPLATE_CATALOG_HPP
@@ -15,7 +24,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace cloudseer::logging {
@@ -57,32 +65,32 @@ class TemplateCatalog
         std::string text;
     };
 
-    /** Hash of a (service, text) pair; see keyHash(). */
-    struct IdentityHash
-    {
-        std::size_t
-        operator()(std::size_t h) const noexcept
-        {
-            return h;
-        }
-    };
-
     /**
-     * Combines std::hash<std::string_view> over each field, which
-     * reads 8 bytes per step.
+     * Folds each field a word at a time, its length included, into a
+     * multiply-rotate chain (so (a, b) and (b, a) hash apart), then
+     * mixes the result down to 32 bits.
      */
-    static std::size_t keyHash(std::string_view service,
-                               std::string_view text);
+    static std::uint32_t keyHash(std::string_view service,
+                                 std::string_view text);
 
-    /** Id of (service, text) given its keyHash; kInvalidTemplate when
-     *  not interned. */
-    TemplateId lookup(std::size_t hash, std::string_view service,
-                      std::string_view text) const;
+    /** Slot that holds (service, text), or the empty slot where it
+     *  would go. The table must not be empty. */
+    std::size_t slotOf(std::uint32_t hash, std::string_view service,
+                       std::string_view text) const;
 
+    /** First empty slot on `hash`'s probe path. */
+    std::size_t freeSlot(std::uint32_t hash) const;
+
+    /** Double the table (16 slots at first) until one more entry fits
+     *  at load 3/4, and re-slot every id from its stored hash. */
+    void grow();
+
+    /** id -> entry, in insertion order. */
     std::vector<Entry> entries;
-    /** keyHash -> id; colliding pairs share a hash and are told apart
-     *  by comparing the entry. The catalog keeps each text once. */
-    std::unordered_multimap<std::size_t, TemplateId, IdentityHash> index;
+    /** id -> keyHash of its entry. */
+    std::vector<std::uint32_t> hashes;
+    /** Open-addressed index: 0 = empty, otherwise id + 1. */
+    std::vector<std::uint32_t> slots;
 };
 
 } // namespace cloudseer::logging

@@ -18,7 +18,9 @@
  * peak heap to a bound that does not grow with the tail: the counter
  * also tracks live bytes (malloc_usable_size) for that. A fifth pins
  * what a new identifier costs a private interner: its allocations and
- * the live bytes per entry.
+ * the live bytes per entry. A sixth holds the wire front end alone
+ * (decodeLogLineInto, parseInto and the catalog lookup) to no
+ * allocation at all once its scratch is warm.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +46,7 @@
 #include "eval/modeling_harness.hpp"
 #include "logging/identifier_interner.hpp"
 #include "logging/log_codec.hpp"
+#include "logging/template_catalog.hpp"
 #include "logging/variable_extractor.hpp"
 #include "sim/simulation.hpp"
 #include "vault/vaulted_monitor.hpp"
@@ -565,4 +568,41 @@ TEST(AllocBudget, InternerCostsOneAllocationPerNewIdentifier)
     // held 121.8 B per identifier.
     EXPECT_LE(perIdentifier, 1.1);
     EXPECT_LE(bytesPerEntry, 90.0);
+}
+
+TEST(AllocBudget, WarmFrontEndAllocatesNothing)
+{
+    // The word-at-a-time decoder, scanner and catalog lookup keep no
+    // state of their own: once the record and the parsed body have
+    // grown to the longest line and the most variables of the stream,
+    // a second pass over it allocates nothing at all.
+    const std::vector<std::string> lines = table6Lines(3);
+    const logging::VariableExtractor extractor;
+    const logging::TemplateCatalog &catalog = *models().catalog;
+    logging::LogRecord record;
+    logging::ParsedBody parsed;
+    std::size_t found = 0;
+    auto pass = [&] {
+        for (const std::string &line : lines) {
+            if (!logging::decodeLogLineInto(line, record))
+                continue;
+            extractor.parseInto(record.body, parsed);
+            if (catalog.find(record.service, parsed.templateText) !=
+                logging::kInvalidTemplate) {
+                ++found;
+            }
+        }
+    };
+    pass();
+    found = 0;
+    allocations = 0;
+    counting = true;
+    pass();
+    counting = false;
+    std::printf("front end: %llu allocations over %zu warm lines\n",
+                static_cast<unsigned long long>(allocations),
+                lines.size());
+    EXPECT_EQ(allocations, 0u);
+    // The stream's templates are the mined catalog's.
+    EXPECT_GT(found, lines.size() * 9 / 10);
 }

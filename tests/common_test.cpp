@@ -13,6 +13,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -459,6 +460,70 @@ TEST(CharClass, MatchesCctypeForEveryByte)
         EXPECT_EQ(isAlpha(c), std::isalpha(b) != 0) << b;
         EXPECT_EQ(isAlnum(c), std::isalnum(b) != 0) << b;
         EXPECT_EQ(isSpace(c), std::isspace(b) != 0) << b;
+    }
+}
+
+TEST(CharClass, WordMasksMatchTheTableInEveryLane)
+{
+    // Every byte value in every lane, between neighbours that would
+    // carry or borrow into it if the lanes leaked into each other.
+    const unsigned char fills[] = {0x00, 0x2f, '0',  '9',  ':',  '@',
+                                   'a',  'z',  0x7f, 0x80, 0xff, ' '};
+    for (int lane = 0; lane < 8; ++lane) {
+        for (int b = 0; b < 256; ++b) {
+            for (unsigned char fill : fills) {
+                unsigned char bytes[8];
+                std::memset(bytes, fill, sizeof(bytes));
+                bytes[lane] = static_cast<unsigned char>(b);
+                const Word w = loadWord(reinterpret_cast<char *>(bytes));
+                Word digit = 0, hex = 0, alnum = 0, space = 0, same = 0;
+                for (int i = 0; i < 8; ++i) {
+                    const char c = static_cast<char>(bytes[i]);
+                    const Word bit = Word{0x80} << (8 * i);
+                    digit |= isDigit(c) ? bit : 0;
+                    hex |= isHex(c) ? bit : 0;
+                    alnum |= isAlnum(c) ? bit : 0;
+                    space |= isSpace(c) ? bit : 0;
+                    same |= bytes[i] == b ? bit : 0;
+                }
+                ASSERT_EQ(digitMask(w), digit) << lane << " " << b;
+                ASSERT_EQ(hexMask(w), hex) << lane << " " << b;
+                ASSERT_EQ(alnumMask(w), alnum) << lane << " " << b;
+                ASSERT_EQ(spaceMask(w), space) << lane << " " << b;
+                ASSERT_EQ(byteMask(w, static_cast<std::uint8_t>(b)), same)
+                    << lane << " " << b;
+            }
+        }
+    }
+}
+
+TEST(CharClass, TailLoadsStayInsideTheView)
+{
+    // Views of every length up to 20 bytes, each in a heap block of
+    // exactly its size, so an over-read is an AddressSanitizer report.
+    for (std::size_t size = 0; size <= 20; ++size) {
+        std::unique_ptr<char[]> block(new char[size]);
+        for (std::size_t i = 0; i < size; ++i)
+            block[i] = static_cast<char>(0xa0 + i);
+        const char *begin = block.get();
+        const char *end = begin + size;
+        for (const char *p = size < 8 ? begin : end - 7; p <= end; ++p) {
+            Word expected = 0;
+            for (const char *q = p; q < end; ++q) {
+                expected |= Word{static_cast<unsigned char>(*q)}
+                            << (8 * (q - p));
+            }
+            EXPECT_EQ(loadTail(begin, p, end), expected) << size;
+        }
+        // A negated class sets the zero padding lanes too; the scan
+        // clips them, so it finds no byte past the end.
+        auto notHigh = [](Word w) {
+            return ~byteMask(w, 0xa0) & kLaneHigh;
+        };
+        EXPECT_EQ(findFirst(begin, begin, end, notHigh),
+                  size > 1 ? begin + 1 : end)
+            << size;
+        EXPECT_EQ(findFirst(begin, begin, end, spaceMask), end) << size;
     }
 }
 

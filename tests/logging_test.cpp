@@ -6,13 +6,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "frontend_reference.hpp"
 #include "logging/log_codec.hpp"
 #include "logging/log_level.hpp"
 #include "logging/template_catalog.hpp"
@@ -393,194 +395,7 @@ TEST(ScratchCores, ParseIntoReusedScratchMatchesParse)
     EXPECT_GT(with_variables, corpus.size() / 4);
 }
 
-// --- the table-driven front end vs the <cctype> code it replaced ----------
-
-namespace reference {
-
-// Verbatim copy of the variable scanner as it stood before the class
-// table: one <cctype> call and one push_back per byte.
-
-bool
-isHex(char c)
-{
-    return std::isxdigit(static_cast<unsigned char>(c)) != 0;
-}
-
-bool
-isDigit(char c)
-{
-    return std::isdigit(static_cast<unsigned char>(c)) != 0;
-}
-
-bool
-isAlnum(char c)
-{
-    return std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
-
-std::size_t
-matchUuid(std::string_view s, std::size_t pos)
-{
-    static const int groups[5] = {8, 4, 4, 4, 12};
-    std::size_t p = pos;
-    for (int g = 0; g < 5; ++g) {
-        if (g > 0) {
-            if (p >= s.size() || s[p] != '-')
-                return 0;
-            ++p;
-        }
-        for (int i = 0; i < groups[g]; ++i, ++p) {
-            if (p >= s.size() || !isHex(s[p]))
-                return 0;
-        }
-    }
-    if (p < s.size() && (isAlnum(s[p]) || s[p] == '-'))
-        return 0;
-    return p - pos;
-}
-
-std::size_t
-matchIp(std::string_view s, std::size_t pos)
-{
-    std::size_t p = pos;
-    for (int octet = 0; octet < 4; ++octet) {
-        if (octet > 0) {
-            if (p >= s.size() || s[p] != '.')
-                return 0;
-            ++p;
-        }
-        int value = 0;
-        std::size_t digits = 0;
-        while (p < s.size() && isDigit(s[p]) && digits < 3) {
-            value = value * 10 + (s[p] - '0');
-            ++p;
-            ++digits;
-        }
-        if (digits == 0 || value > 255)
-            return 0;
-    }
-    if (p < s.size() && (isDigit(s[p]) || s[p] == '.'))
-        return 0;
-    return p - pos;
-}
-
-std::size_t
-matchNumber(std::string_view s, std::size_t pos)
-{
-    std::size_t p = pos;
-    while (p < s.size() && isDigit(s[p]))
-        ++p;
-    if (p == pos)
-        return 0;
-    if (p < s.size() && std::isalpha(static_cast<unsigned char>(s[p])))
-        return 0;
-    return p - pos;
-}
-
-ParsedBody
-parse(std::string_view body)
-{
-    ParsedBody out;
-    char prev = '\0';
-    std::size_t pos = 0;
-    while (pos < body.size()) {
-        char c = body[pos];
-        std::size_t len = 0;
-        VariableKind kind = VariableKind::Number;
-        if (!isAlnum(prev) && isHex(c)) {
-            if ((len = matchUuid(body, pos)) > 0) {
-                kind = VariableKind::Uuid;
-            } else if (isDigit(c)) {
-                if (prev != '.' && (len = matchIp(body, pos)) > 0) {
-                    kind = VariableKind::Ip;
-                } else if ((len = matchNumber(body, pos)) > 0) {
-                    kind = VariableKind::Number;
-                }
-            }
-        }
-        if (len > 0) {
-            out.templateText += VariableExtractor::placeholder(kind);
-            Variable &var = out.variables.emplace_back();
-            var.kind = kind;
-            var.text.assign(body.substr(pos, len));
-            pos += len;
-            prev = '\0';
-        } else {
-            out.templateText.push_back(c);
-            prev = c;
-            ++pos;
-        }
-    }
-    return out;
-}
-
-// The decoder as it stood before the whitespace table: std::isspace
-// token scanning and the sscanf timestamp parse.
-
-bool
-parseTimestamp(std::string_view text, double &out)
-{
-    std::string terminated(text);
-    int year = 0, month = 0, day = 0, hh = 0, mm = 0, ss = 0, millis = 0;
-    int n = std::sscanf(terminated.c_str(), "%d-%d-%d %d:%d:%d.%d", &year,
-                        &month, &day, &hh, &mm, &ss, &millis);
-    if (n != 7 || year != 2016 || month != 1 || day < 12)
-        return false;
-    out = (day - 12) * 86400.0 + hh * 3600.0 + mm * 60.0 + ss +
-          millis / 1000.0;
-    return true;
-}
-
-std::string_view
-takeToken(std::string_view line, std::size_t &pos)
-{
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-        ++pos;
-    }
-    std::size_t start = pos;
-    while (pos < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[pos]))) {
-        ++pos;
-    }
-    return line.substr(start, pos - start);
-}
-
-DecodeFailure
-decode(std::string_view line, LogRecord &record)
-{
-    std::size_t pos = 0;
-    std::string_view date = takeToken(line, pos);
-    std::size_t date_start = pos - date.size();
-    std::string_view time = takeToken(line, pos);
-    if (date.empty() || time.empty())
-        return DecodeFailure::BadTimestamp;
-    if (!parseTimestamp(line.substr(date_start, pos - date_start),
-                        record.timestamp)) {
-        return DecodeFailure::BadTimestamp;
-    }
-    std::string_view node = takeToken(line, pos);
-    std::string_view service = takeToken(line, pos);
-    std::string_view level_text = takeToken(line, pos);
-    if (node.empty())
-        return DecodeFailure::BadHeader;
-    if (service.empty() || level_text.empty())
-        return DecodeFailure::TruncatedPayload;
-    if (!parseLogLevel(level_text, record.level))
-        return DecodeFailure::BadHeader;
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-        ++pos;
-    }
-    if (pos == line.size())
-        return DecodeFailure::TruncatedPayload;
-    record.node.assign(node);
-    record.service.assign(service);
-    record.body.assign(line.substr(pos));
-    return DecodeFailure::None;
-}
-
-} // namespace reference
+// --- the word-at-a-time front end vs the <cctype> code it replaced -------
 
 namespace {
 
@@ -792,4 +607,298 @@ TEST(FrontEnd, CatalogIdsFollowInsertionOrder)
     TemplateCatalog copy = catalog;
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(copy.find(order[i].first, order[i].second), i);
+}
+
+// --- the word-at-a-time kernels at every word and block offset -----------
+
+namespace {
+
+using fixture::ExactCopy;
+
+/** A body with its bytes escaped, for failure messages. */
+std::string
+printable(std::string_view bytes)
+{
+    std::string out;
+    for (char c : bytes) {
+        unsigned char b = static_cast<unsigned char>(c);
+        if (b >= 0x20 && b < 0x7f && c != '\\') {
+            out += c;
+        } else {
+            char hex[8];
+            std::snprintf(hex, sizeof(hex), "\\x%02x", b);
+            out += hex;
+        }
+    }
+    return out;
+}
+
+/**
+ * Variables of every kind and shape, near misses of each, and
+ * alphanumeric runs around the 8- and 16-byte word lengths: upper-case
+ * hex, NUL and bytes >= 0x80 inside tokens included.
+ */
+std::vector<std::string>
+boundaryTokens()
+{
+    using namespace std::string_literals;
+    std::vector<std::string> tokens = {
+        "01234567-89ab-cdef-0123-456789abcdef",
+        "0123ABCD-89AB-CDEF-0123-456789ABCDEF",
+        "a1B2c3D4-e5F6-a7B8-c9D0-e1F2a3B4c5D6",
+        "01234567-89ab-cdef-0123-456789abcde", // 35 bytes
+        "01234567-89ab-cdef-0123-456789abcdef0",
+        "01234567-89ab-cdef-0123-456789abcdef-",
+        "01234567-89ab-cdef-0123_456789abcdef",
+        "01234567-89ab-cdeg-0123-456789abcdef",
+        "0123456789ab-cdef-0123-456789abcdef-",
+        "01234567-89ab-cd\0f-0123-456789abcdef"s,
+        "01234567-89ab-cd\x80" "f-0123-456789abcdef",
+        "01234567-89ab-cdef-0123-456789abcde\xe6",
+        "10.0.12.34",
+        "255.255.255.255",
+        "256.1.1.1",
+        "1.2.3.4",
+        "1.2.3.4.5",
+        "1.2.3",
+        "1.2.3.4abc",
+        "1.2.3.4-5",
+        "01.002.3.255",
+        "1234.5.6.7",
+        "7",
+        "42",
+        "1234567890123456789012",
+        "42x",
+        "0x1F",
+        "9\x80",
+        "12\0" "34"s,
+        "abc123def",
+        "deadbeefcafe",
+        "DEADBEEF",
+        "x9",
+        "eth0",
+        "Zz09",
+        "\xe9" "abc",
+        "ab\xff" "cd",
+    };
+    for (std::size_t n : {1, 7, 8, 9, 15, 16, 17, 24}) {
+        tokens.push_back(std::string(n, 'g')); // a non-hex run
+        tokens.push_back(std::string(n, 'e')); // a hex-letter run
+        tokens.push_back(std::string(n, '5')); // a digit run
+    }
+    return tokens;
+}
+
+/** Bytes placed before and after a token, from none to 16 of them. */
+const char kFillers[] = {' ', '.', '-', 'a', 'Z', '0', '\x80', '\0', '/',
+                         ':'};
+
+} // namespace
+
+TEST(FrontEnd, ScannerMatchesReferenceAtEveryWordOffset)
+{
+    const std::vector<std::string> tokens = boundaryTokens();
+    ParsedBody got;
+    std::size_t bodies = 0, uuids = 0, ips = 0, numbers = 0;
+    auto check = [&](const std::string &body) {
+        // An exact-size block: a read past the view is an ASan report.
+        ExactCopy copy(body);
+        ParsedBody expected = reference::parse(copy.view());
+        kExtractor.parseInto(copy.view(), got);
+        ASSERT_EQ(got.templateText, expected.templateText)
+            << printable(body);
+        ASSERT_EQ(got.variables, expected.variables) << printable(body);
+        ++bodies;
+        for (const Variable &var : expected.variables) {
+            uuids += var.kind == VariableKind::Uuid ? 1 : 0;
+            ips += var.kind == VariableKind::Ip ? 1 : 0;
+            numbers += var.kind == VariableKind::Number ? 1 : 0;
+        }
+    };
+    // Each token starts and ends at every offset mod 8 and mod 16, with
+    // every filler before it, and the view ends on its last byte or up
+    // to 16 bytes later.
+    std::size_t round = 0;
+    for (const std::string &token : tokens) {
+        for (char before : kFillers) {
+            for (std::size_t lead = 0; lead <= 16; ++lead) {
+                for (std::size_t trail = 0; trail <= 16; ++trail) {
+                    char after = kFillers[round++ % sizeof(kFillers)];
+                    check(std::string(lead, before) + token +
+                          std::string(trail, after));
+                    if (testing::Test::HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
+    // Two tokens with every short gap between them: a position right
+    // after a variable may start the next one.
+    for (const std::string &first : tokens) {
+        for (const std::string &second : tokens) {
+            for (std::size_t gap = 0; gap <= 2; ++gap) {
+                char between = kFillers[round++ % sizeof(kFillers)];
+                check(first + std::string(gap, between) + second);
+                if (testing::Test::HasFatalFailure())
+                    return;
+            }
+        }
+    }
+    std::printf("bodies %zu: uuids %zu, ips %zu, numbers %zu\n", bodies,
+                uuids, ips, numbers);
+    EXPECT_GT(bodies, 150000u);
+    EXPECT_GT(uuids, 4000u);
+    EXPECT_GT(ips, 4000u);
+    EXPECT_GT(numbers, 40000u);
+}
+
+TEST(FrontEnd, UuidAtTheEndOfTheView)
+{
+    const std::string uuid = "01234567-89ab-cdef-0123-456789abcdef";
+    for (std::size_t lead = 0; lead <= 16; ++lead) {
+        const std::string prefix = "id " + std::string(lead, ' ');
+        // Ending on the last byte of the view.
+        ExactCopy whole(prefix + uuid);
+        ParsedBody parsed;
+        kExtractor.parseInto(whole.view(), parsed);
+        ASSERT_EQ(parsed.variables.size(), 1u) << lead;
+        EXPECT_EQ(parsed.variables[0].kind, VariableKind::Uuid);
+        EXPECT_EQ(parsed.variables[0].text, uuid);
+        EXPECT_EQ(parsed.templateText, prefix + "<uuid>");
+        // 35 bytes of one, cut off by the end of the view: no UUID,
+        // and the same split as the reference's.
+        ExactCopy partial(prefix + uuid.substr(0, 35));
+        kExtractor.parseInto(partial.view(), parsed);
+        ParsedBody expected = reference::parse(partial.view());
+        EXPECT_EQ(parsed.templateText, expected.templateText) << lead;
+        EXPECT_EQ(parsed.variables, expected.variables) << lead;
+        for (const Variable &var : parsed.variables)
+            EXPECT_NE(var.kind, VariableKind::Uuid) << lead;
+    }
+}
+
+TEST(FrontEnd, DecoderMatchesReferenceForEveryGapByteAndOffset)
+{
+    // Every C-locale whitespace byte, then bytes that are not
+    // whitespace there (NEL, NBSP, a separator control, NUL).
+    static const char kGaps[] = {' ',    '\t',   '\n',   '\v',  '\f',
+                                 '\r',   '\x85', '\xa0', '\x1c', '\0'};
+    LogRecord got;
+    std::size_t lines = 0, decoded = 0;
+    auto check = [&](std::string_view line) {
+        ExactCopy copy(line);
+        LogRecord expected;
+        DecodeFailure expected_why =
+            reference::decode(copy.view(), expected);
+        DecodeFailure why = DecodeFailure::BadHeader;
+        bool ok = decodeLogLineInto(copy.view(), got, &why);
+        ++lines;
+        ASSERT_EQ(why, expected_why) << printable(line);
+        ASSERT_EQ(ok, expected_why == DecodeFailure::None)
+            << printable(line);
+        if (!ok)
+            return;
+        ++decoded;
+        EXPECT_EQ(std::memcmp(&got.timestamp, &expected.timestamp,
+                              sizeof(got.timestamp)),
+                  0)
+            << printable(line);
+        EXPECT_EQ(got.node, expected.node) << printable(line);
+        EXPECT_EQ(got.service, expected.service) << printable(line);
+        EXPECT_EQ(got.level, expected.level) << printable(line);
+        EXPECT_EQ(got.body, expected.body) << printable(line);
+    };
+    // Gap 0 leads the line; gaps 1-5 follow the date, the time, the
+    // node, the service and the level. Node names of 1 to 9 bytes move
+    // every later field across the word boundaries.
+    for (char gap_byte : kGaps) {
+        for (int gap = 0; gap <= 5; ++gap) {
+            for (std::size_t width = 1; width <= 9; ++width) {
+                for (std::size_t node = 1; node <= 9; ++node) {
+                    const std::string fields[] = {
+                        "2016-01-12", "00:00:01.250",
+                        std::string(node, 'n'), "nova-api", "INFO",
+                        "body 42"};
+                    std::string line;
+                    if (gap == 0)
+                        line.append(width, gap_byte);
+                    for (int f = 0; f < 6; ++f) {
+                        if (f > 0) {
+                            if (f == gap)
+                                line.append(width, gap_byte);
+                            else
+                                line += ' ';
+                        }
+                        line += fields[f];
+                    }
+                    check(line);
+                    if (testing::Test::HasFatalFailure())
+                        return;
+                    // Every prefix: the view ends at each offset.
+                    if (width > 2)
+                        continue;
+                    for (std::size_t cut = 0; cut < line.size(); ++cut) {
+                        check(std::string_view(line).substr(0, cut));
+                        if (testing::Test::HasFatalFailure())
+                            return;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(decoded, 1000u);
+    EXPECT_GT(lines - decoded, 1000u);
+}
+
+TEST(TemplateCatalog, FlatIndexFindsEveryPairAcrossGrowths)
+{
+    // The same text under two services, and texts of every length
+    // around the hash's word size, across nine doublings of the index.
+    std::vector<std::pair<std::string, std::string>> pairs;
+    for (int i = 0; i < 6000; ++i) {
+        std::string service = i % 2 == 0 ? "nova-api" : "nova-compute";
+        std::string text = "step " + std::string(static_cast<std::size_t>(
+                                                     (i / 2) % 23),
+                                                 'x') +
+                           " <uuid> " + std::to_string(i / 2);
+        pairs.emplace_back(std::move(service), std::move(text));
+    }
+    TemplateCatalog catalog;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const auto &[service, text] = pairs[i];
+        ASSERT_EQ(catalog.find(service, text), kInvalidTemplate) << i;
+        ASSERT_EQ(catalog.intern(service, text),
+                  static_cast<TemplateId>(i));
+        // Right after each growth, every earlier pair is still found.
+        if ((i & (i + 1)) == 0 || i % 1000 == 0) {
+            for (std::size_t j = 0; j <= i; ++j) {
+                ASSERT_EQ(catalog.find(pairs[j].first, pairs[j].second),
+                          static_cast<TemplateId>(j))
+                    << i << " " << j;
+            }
+        }
+    }
+    ASSERT_EQ(catalog.size(), pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const TemplateId id = static_cast<TemplateId>(i);
+        EXPECT_EQ(catalog.find(pairs[i].first, pairs[i].second), id);
+        EXPECT_EQ(catalog.intern(pairs[i].first, pairs[i].second), id);
+        EXPECT_EQ(catalog.service(id), pairs[i].first);
+        EXPECT_EQ(catalog.text(id), pairs[i].second);
+    }
+    EXPECT_EQ(catalog.size(), pairs.size());
+
+    // Unknown pairs: a new text, a known text under another service, a
+    // prefix and an extension of a known text, and the empty pair.
+    const std::string &first = pairs[0].second;
+    EXPECT_EQ(catalog.find("nova-api", "step <uuid> 99999"),
+              kInvalidTemplate);
+    EXPECT_EQ(catalog.find("glance", first), kInvalidTemplate);
+    EXPECT_EQ(catalog.find("nova-api", first.substr(0, first.size() - 1)),
+              kInvalidTemplate);
+    EXPECT_EQ(catalog.find("nova-api", first + " "), kInvalidTemplate);
+    EXPECT_EQ(catalog.find("", ""), kInvalidTemplate);
+    const TemplateId empty = catalog.intern("", "");
+    EXPECT_EQ(empty, static_cast<TemplateId>(pairs.size()));
+    EXPECT_EQ(catalog.find("", ""), empty);
 }
