@@ -25,12 +25,10 @@
  *
  * Alongside the report, the analysis emits an AmbiguityCertificate:
  * a per-template verdict table whose "certified unambiguous" entries
- * (sole-owner templates carrying an instance identifier) the checker
- * consumes as a fast-path bit — see
- * InterleavedChecker::setCertifiedTemplates. The certificate gates
- * *where* the cheap dispatch applies; each skip it enables is
- * semantics-preserving on its own, so reports stay bit-identical even
- * on streams that violate the certificate's statistical assumptions.
+ * are sole-owner templates carrying an instance identifier. It is a
+ * diagnostic: the checker no longer reads it (its shortcuts hold for
+ * every template), seer_prove prints it, and model_io still persists
+ * it as a CertificateRecord so old and new model files load alike.
  */
 
 #ifndef CLOUDSEER_ANALYSIS_INTERFERENCE_HPP
@@ -140,7 +138,7 @@ struct AmbiguityCertificate
 
     /**
      * Dense bitmap sized for a catalog of `catalog_size` templates
-     * (the shape InterleavedChecker::setCertifiedTemplates takes).
+     * (the shape the former checker dispatch took).
      */
     std::vector<char> certifiedBits(std::size_t catalog_size) const;
 

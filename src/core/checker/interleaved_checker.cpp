@@ -12,44 +12,32 @@ using logging::IdToken;
 
 namespace {
 
-/** Spare nodes each recycling list may hold beyond its map's live
- *  entry count. */
-constexpr std::size_t kSpareNodeFloor = 64;
-
 /**
- * Erase `it` from `map`, keeping its node (and the buffers it owns) in
- * `spares` for the next insertion, within the free-list bound.
+ * Key of a sorted token vector in the contents index. Equal contents
+ * give equal keys; a hit is always confirmed against the set.
  */
-template <typename Map>
-void
-eraseRecycled(Map &map, typename Map::iterator it,
-              std::vector<typename Map::node_type> &spares)
+std::uint64_t
+contentsKeyOf(const std::vector<IdToken> &tokens)
 {
-    typename Map::node_type node = map.extract(it);
-    if (spares.size() < map.size() + kSpareNodeFloor)
-        spares.push_back(std::move(node));
-    while (spares.size() > map.size() + kSpareNodeFloor)
-        spares.pop_back();
+    std::uint64_t hash = 0x9e3779b97f4a7c15ULL * (tokens.size() + 1);
+    for (IdToken token : tokens) {
+        hash ^= token;
+        hash *= 0xff51afd7ed558ccdULL;
+        hash ^= hash >> 32;
+    }
+    return hash;
 }
 
-/**
- * Insert `key` (absent from `map`) in a spare node when there is one.
- * A reused node's mapped value is whatever its last entry left there;
- * the caller overwrites it.
- */
-template <typename Map>
-typename Map::iterator
-insertRecycled(Map &map, const typename Map::key_type &key,
-               std::vector<typename Map::node_type> &spares)
+/** Remove `id` from a vector of entries kept in ascending id. */
+template <typename Order>
+void
+eraseOrdered(Order &order, std::uint64_t id)
 {
-    if (spares.empty())
-        return map.try_emplace(key).first;
-    typename Map::node_type node = std::move(spares.back());
-    spares.pop_back();
-    node.key() = key;
-    auto placed = map.insert(std::move(node));
-    CS_ASSERT(placed.inserted, "recycled node key collision");
-    return placed.position;
+    auto it = std::lower_bound(
+        order.begin(), order.end(), id,
+        [](const auto &entry, std::uint64_t key) { return entry.id < key; });
+    CS_ASSERT(it != order.end() && it->id == id, "id missing from its order");
+    order.erase(it);
 }
 
 } // namespace
@@ -88,20 +76,20 @@ InterleavedChecker::templateKnown(logging::TemplateId tpl) const
            tpl < knownTemplates.size() && knownTemplates[tpl] != 0;
 }
 
-void
-InterleavedChecker::setCertifiedTemplates(std::vector<char> certified)
+AutomatonGroup &
+InterleavedChecker::groupAt(GroupId gid)
 {
-    certifiedTemplates = std::move(certified);
-    certFastActive = false;
+    GroupSlot *slot = findGroup(gid);
+    CS_ASSERT(slot != nullptr, "unknown group id");
+    return slot->group;
 }
 
-std::size_t
-InterleavedChecker::certifiedTemplateCount() const
+const AutomatonGroup &
+InterleavedChecker::groupAt(GroupId gid) const
 {
-    std::size_t n = 0;
-    for (char bit : certifiedTemplates)
-        n += bit != 0;
-    return n;
+    const GroupSlot *slot = findGroup(gid);
+    CS_ASSERT(slot != nullptr, "unknown group id");
+    return slot->group;
 }
 
 void
@@ -190,7 +178,7 @@ InterleavedChecker::selectIdSets(const std::vector<IdToken> &view,
     } else {
         selectIdSetsScan(view, max_overlap_exclusive, overlap_out,
                          tie_break, selected);
-        idSetVisits += idsets.size();
+        idSetVisits += setOrder.size();
     }
 }
 
@@ -204,8 +192,8 @@ InterleavedChecker::selectIdSetsScan(const std::vector<IdToken> &view,
     // least symmetric difference when configured (paper heuristic 1).
     selected.clear();
     int best = 0;
-    for (const auto &[id, entry] : idsets) {
-        int ov = entry.ids.overlap(view);
+    for (const Ordered &set : setOrder) {
+        int ov = setSlots[set.slot].ids.overlap(view);
         if (max_overlap_exclusive >= 0 && ov >= max_overlap_exclusive)
             continue;
         best = std::max(best, ov);
@@ -216,23 +204,24 @@ InterleavedChecker::selectIdSetsScan(const std::vector<IdToken> &view,
         return;
 
     int least_diff = -1;
-    for (const auto &[id, entry] : idsets) {
-        int ov = entry.ids.overlap(view);
+    for (const Ordered &set : setOrder) {
+        const IdentifierSet &ids = setSlots[set.slot].ids;
+        int ov = ids.overlap(view);
         if (ov != best)
             continue;
         if (max_overlap_exclusive >= 0 && ov >= max_overlap_exclusive)
             continue;
         if (!tie_break) {
-            selected.push_back(id);
+            selected.push_back(set.id);
             continue;
         }
-        int diff = entry.ids.symmetricDifference(view);
+        int diff = ids.symmetricDifference(view);
         if (least_diff == -1 || diff < least_diff) {
             least_diff = diff;
             selected.clear();
-            selected.push_back(id);
+            selected.push_back(set.id);
         } else if (diff == least_diff) {
-            selected.push_back(id);
+            selected.push_back(set.id);
         }
     }
 }
@@ -253,10 +242,11 @@ InterleavedChecker::selectIdSetsIndexed(const std::vector<IdToken> &view,
     selected.clear();
     hitScratch.clear();
     for (IdToken token : view) {
-        auto it = postings.find(token);
-        if (it != postings.end())
-            hitScratch.insert(hitScratch.end(), it->second.begin(),
-                              it->second.end());
+        const Slot slot = postingIndex.find(token);
+        if (slot != kNoSlot) {
+            const std::vector<std::uint64_t> &list = postingLists[slot];
+            hitScratch.insert(hitScratch.end(), list.begin(), list.end());
+        }
     }
     std::sort(hitScratch.begin(), hitScratch.end());
     std::vector<std::pair<std::uint64_t, int>> &candidates = overlapScratch;
@@ -270,27 +260,34 @@ InterleavedChecker::selectIdSetsIndexed(const std::vector<IdToken> &view,
     }
 
     int best = 0;
+    std::size_t at_best = 0;
     for (const auto &[set_id, ov] : candidates) {
         if (max_overlap_exclusive >= 0 && ov >= max_overlap_exclusive)
             continue;
-        best = std::max(best, ov);
+        if (ov > best) {
+            best = ov;
+            at_best = 0;
+        }
+        at_best += ov == best;
     }
     if (overlap_out != nullptr)
         *overlap_out = best;
     if (best == 0)
         return;
 
+    // A lone set at the best overlap wins the tie-break unopposed.
+    const bool compare = tie_break && at_best > 1;
     int least_diff = -1;
     for (const auto &[set_id, ov] : candidates) {
         if (ov != best)
             continue;
-        if (!tie_break) {
+        if (!compare) {
             selected.push_back(set_id);
             continue;
         }
         // |A Δ B| = |A| + |B| - 2|A ∩ B|; the overlap is already
         // known, so no merge is needed.
-        int diff = static_cast<int>(idsets.at(set_id).ids.size()) +
+        int diff = static_cast<int>(findSet(set_id)->ids.size()) +
                    static_cast<int>(view.size()) - 2 * ov;
         if (least_diff == -1 || diff < least_diff) {
             least_diff = diff;
@@ -326,23 +323,23 @@ InterleavedChecker::candidateGroups(
 {
     out.clear();
     for (std::uint64_t set_id : set_ids) {
-        auto set_it = idsets.find(set_id);
-        if (set_it == idsets.end())
+        const IdSetSlot *set = findSet(set_id);
+        if (set == nullptr)
             continue;
-        const std::vector<GroupId> &members = set_it->second.groupIds;
+        const std::vector<GroupId> &members = set->groupIds;
         if (!config.equivalentGroupDedup) {
             for (GroupId gid : members) {
-                if (groups.count(gid))
+                if (findGroup(gid) != nullptr)
                     out.push_back(gid);
             }
             continue;
         }
-        // seer-prove fast path: a sole-member set yields at most one
-        // class with a one-element pool — the member itself, with no
-        // equivalence draw (pickSalt only advances for pools > 1). Skip
-        // building the signature classes; the result is identical.
-        if (certFastActive && members.size() == 1) {
-            if (groups.count(members.front()))
+        // A sole-member set yields at most one class with a one-element
+        // pool: the member itself, with no equivalence draw (pickSalt
+        // only advances for pools > 1). Skip building the signature
+        // classes; the result is identical.
+        if (members.size() == 1) {
+            if (findGroup(members.front()) != nullptr)
                 out.push_back(members.front());
             continue;
         }
@@ -355,10 +352,11 @@ InterleavedChecker::candidateGroups(
         // instance-state walks and without a per-call hash table.
         memberScratch.clear();
         for (std::size_t pos = 0; pos < members.size(); ++pos) {
-            auto git = groups.find(members[pos]);
-            if (git != groups.end())
-                memberScratch.push_back(
-                    {git->second.stateSignature(), pos, members[pos]});
+            const GroupSlot *member = findGroup(members[pos]);
+            if (member != nullptr)
+                memberScratch.push_back({member->group.stateSignature(),
+                                         pos, members[pos],
+                                         member->group.zombie()});
         }
         std::sort(memberScratch.begin(), memberScratch.end(),
                   [](const ClassMember &a, const ClassMember &b) {
@@ -387,7 +385,7 @@ InterleavedChecker::candidateGroups(
             // zombify in a self-sustaining cascade).
             poolScratch.clear();
             for (std::size_t i = run_start; i < run_end; ++i) {
-                if (!groups.at(memberScratch[i].gid).zombie())
+                if (!memberScratch[i].zombie)
                     poolScratch.push_back(memberScratch[i].gid);
             }
             if (poolScratch.empty()) {
@@ -409,112 +407,119 @@ InterleavedChecker::candidateGroups(
 void
 InterleavedChecker::addPosting(IdToken token, std::uint64_t set_id)
 {
-    auto it = postings.find(token);
-    if (it == postings.end()) {
-        it = insertRecycled(postings, token, sparePostings);
-        it->second.clear();
+    Slot slot = postingIndex.find(token);
+    if (slot == kNoSlot) {
+        slot = postingLists.acquire();
+        postingLists[slot].clear();
+        postingIndex.insert(token, slot);
     }
-    it->second.push_back(set_id);
+    postingLists[slot].push_back(set_id);
 }
 
-void
-InterleavedChecker::relate(GroupId gid, std::uint64_t set_id)
-{
-    auto it = groupToSet.find(gid);
-    if (it == groupToSet.end())
-        it = insertRecycled(groupToSet, gid, spareRelations);
-    it->second = set_id;
-}
-
-AutomatonGroup &
+InterleavedChecker::GroupSlot &
 InterleavedChecker::insertGroup(GroupId gid)
 {
-    return insertRecycled(groups, gid, spareGroups)->second;
+    CS_ASSERT(groupOrder.empty() || groupOrder.back().id < gid,
+              "group ids must ascend");
+    const Slot slot = groupSlots.acquire();
+    groupIndex.insert(gid, slot);
+    groupOrder.push_back({gid, slot});
+    GroupSlot &entry = groupSlots[slot];
+    entry.set = kNoSlot;
+    return entry;
 }
 
 void
-InterleavedChecker::contentsAdd(std::uint64_t set_id,
-                                const std::vector<IdToken> &contents)
+InterleavedChecker::indexAddSet(Slot set)
 {
-    auto it = setsByContents.find(contents);
-    if (it == setsByContents.end()) {
-        it = insertRecycled(setsByContents, contents, spareContents);
-        it->second.clear();
-    }
-    std::vector<std::uint64_t> &ids = it->second;
-    ids.insert(std::lower_bound(ids.begin(), ids.end(), set_id),
-               set_id);
-}
-
-void
-InterleavedChecker::contentsRemove(std::uint64_t set_id,
-                                   const std::vector<IdToken> &contents)
-{
-    auto it = setsByContents.find(contents);
-    CS_ASSERT(it != setsByContents.end(), "contents-map entry missing");
-    auto &ids = it->second;
-    ids.erase(std::remove(ids.begin(), ids.end(), set_id), ids.end());
-    if (ids.empty())
-        eraseRecycled(setsByContents, it, spareContents);
-}
-
-void
-InterleavedChecker::indexAddSet(std::uint64_t set_id,
-                                const IdSetEntry &entry)
-{
+    IdSetSlot &entry = setSlots[set];
     for (IdToken token : entry.ids.values())
-        addPosting(token, set_id);
-    contentsAdd(set_id, entry.ids.values());
+        addPosting(token, entry.id);
+    entry.contentsKey = contentsKeyOf(entry.ids.values());
+    contentsIndex.insert(entry.contentsKey, set);
 }
 
 void
-InterleavedChecker::indexRemoveSet(std::uint64_t set_id,
-                                   const IdSetEntry &entry)
+InterleavedChecker::indexRemoveSet(Slot set)
 {
+    const IdSetSlot &entry = setSlots[set];
     for (IdToken token : entry.ids.values()) {
-        auto it = postings.find(token);
-        CS_ASSERT(it != postings.end(), "posting list missing");
-        auto &list = it->second;
-        list.erase(std::remove(list.begin(), list.end(), set_id),
+        const Slot slot = postingIndex.find(token);
+        CS_ASSERT(slot != kNoSlot, "posting list missing");
+        std::vector<std::uint64_t> &list = postingLists[slot];
+        list.erase(std::remove(list.begin(), list.end(), entry.id),
                    list.end());
-        if (list.empty())
-            eraseRecycled(postings, it, sparePostings);
+        if (list.empty()) {
+            postingIndex.erase(token, slot);
+            postingLists.release(slot);
+        }
     }
-    contentsRemove(set_id, entry.ids.values());
+    contentsIndex.erase(entry.contentsKey, set);
 }
 
-std::uint64_t
+void
+InterleavedChecker::contentsRekey(Slot set)
+{
+    IdSetSlot &entry = setSlots[set];
+    contentsIndex.erase(entry.contentsKey, set);
+    entry.contentsKey = contentsKeyOf(entry.ids.values());
+    contentsIndex.insert(entry.contentsKey, set);
+}
+
+Slot
 InterleavedChecker::findOrCreateIdSet(
     const std::vector<IdToken> &sorted_unique)
 {
     if (config.routingIndex) {
-        auto it = setsByContents.find(sorted_unique);
-        if (it != setsByContents.end())
-            return it->second.front();
+        // Sets with equal contents (transient aliases) all answer; the
+        // scan semantics pick the lowest id.
+        Slot found = kNoSlot;
+        contentsIndex.forEach(contentsKeyOf(sorted_unique), [&](Slot slot) {
+            const IdSetSlot &entry = setSlots[slot];
+            if (entry.ids.values() == sorted_unique &&
+                (found == kNoSlot || entry.id < setSlots[found].id))
+                found = slot;
+        });
+        if (found != kNoSlot)
+            return found;
     } else {
-        for (auto &[set_id, entry] : idsets) {
-            if (entry.ids.values() == sorted_unique)
-                return set_id;
+        for (const Ordered &set : setOrder) {
+            if (setSlots[set.slot].ids.values() == sorted_unique)
+                return set.slot;
         }
     }
-    std::uint64_t set_id = nextIdSetId++;
-    CS_ASSERT(!idsets.count(set_id), "identifier-set id collision");
-    auto pos = insertRecycled(idsets, set_id, spareIdSets);
-    pos->second.ids.assign(sorted_unique);
-    pos->second.groupIds.clear();
-    indexAddSet(set_id, pos->second);
-    return set_id;
+    const std::uint64_t set_id = nextIdSetId++;
+    CS_ASSERT(setOrder.empty() || setOrder.back().id < set_id,
+              "identifier-set id collision");
+    const Slot slot = setSlots.acquire();
+    IdSetSlot &entry = setSlots[slot];
+    entry.id = set_id;
+    entry.ids.assign(sorted_unique);
+    entry.groupIds.clear();
+    setIndex.insert(set_id, slot);
+    setOrder.push_back({set_id, slot});
+    indexAddSet(slot);
+    return slot;
 }
 
 void
-InterleavedChecker::registerGroup(GroupId gid,
+InterleavedChecker::eraseSet(Slot set)
+{
+    const std::uint64_t set_id = setSlots[set].id;
+    indexRemoveSet(set);
+    setIndex.erase(set_id, set);
+    eraseOrdered(setOrder, set_id);
+    setSlots.release(set);
+}
+
+void
+InterleavedChecker::registerGroup(GroupSlot &entry,
                                   const std::vector<IdToken> &initial_ids)
 {
-    std::uint64_t set_id = findOrCreateIdSet(initial_ids);
-    idsets.at(set_id).groupIds.push_back(gid);
-    relate(gid, set_id);
+    entry.set = findOrCreateIdSet(initial_ids);
+    setSlots[entry.set].groupIds.push_back(entry.group.id());
     if (tracer != nullptr)
-        tracer->beginSpan(gid, traceNow);
+        tracer->beginSpan(entry.group.id(), traceNow);
 }
 
 void
@@ -534,50 +539,26 @@ InterleavedChecker::traceEnd(const AutomatonGroup &group,
 
 void
 InterleavedChecker::applyDecisiveIdUpdate(
-    GroupId group, const std::vector<IdToken> &view)
+    GroupSlot &owner, const std::vector<IdToken> &view)
 {
-    auto map_it = groupToSet.find(group);
-    CS_ASSERT(map_it != groupToSet.end(), "group without identifier set");
-    auto set_it = idsets.find(map_it->second);
-    CS_ASSERT(set_it != idsets.end(), "dangling identifier-set id");
-    IdSetEntry &entry = set_it->second;
+    CS_ASSERT(owner.set != kNoSlot, "group without identifier set");
+    const GroupId group = owner.group.id();
+    const Slot set = owner.set;
+    IdSetSlot &entry = setSlots[set];
 
     if (entry.groupIds.size() == 1) {
-        // seer-prove fast path: when every message token is already in
-        // the set, the insert below adds nothing — the remove/add
-        // re-key and the posting scan are identity operations. One
-        // linear overlap check skips both map round-trips.
-        if (certFastActive &&
-            entry.ids.overlap(view) == static_cast<int>(view.size())) {
+        // When every message token is already in the set, the insert
+        // below adds nothing: the re-key and the posting scan are
+        // identity operations, so one linear overlap check skips both.
+        if (entry.ids.overlap(view) == static_cast<int>(view.size()))
             return;
-        }
         // Sole owner: expand in place (the paper's ID ∪ m.Sv). The
         // index follows: new tokens gain a posting, and the set is
         // re-keyed under its new contents.
-        const std::uint64_t set_id = set_it->first;
-        auto contents_it = setsByContents.find(entry.ids.values());
-        CS_ASSERT(contents_it != setsByContents.end(),
-                  "contents-map entry missing");
-        if (contents_it->second.size() != 1) {
-            contentsRemove(set_id, entry.ids.values());
-            entry.ids.insert(view, &addedScratch);
-            contentsAdd(set_id, entry.ids.values());
-        } else {
-            // Alone under its old contents (the usual case): move the
-            // map node over whole, rewriting its key in place, so the
-            // re-key reuses the node and the key's buffer.
-            auto node = setsByContents.extract(contents_it);
-            entry.ids.insert(view, &addedScratch);
-            node.key() = entry.ids.values();
-            auto placed = setsByContents.insert(std::move(node));
-            if (!placed.inserted) {
-                std::vector<std::uint64_t> &ids = placed.position->second;
-                ids.insert(std::lower_bound(ids.begin(), ids.end(), set_id),
-                           set_id);
-            }
-        }
+        entry.ids.insert(view, &addedScratch);
+        contentsRekey(set);
         for (IdToken token : addedScratch)
-            addPosting(token, set_id);
+            addPosting(token, entry.id);
         return;
     }
     // Shared set: split off an expanded copy for this group.
@@ -586,48 +567,48 @@ InterleavedChecker::applyDecisiveIdUpdate(
                          entry.groupIds.end());
     contentsScratch = entry.ids;
     contentsScratch.insert(view);
-    std::uint64_t set_id = findOrCreateIdSet(contentsScratch.values());
-    idsets.at(set_id).groupIds.push_back(group);
-    map_it->second = set_id;
+    owner.set = findOrCreateIdSet(contentsScratch.values());
+    setSlots[owner.set].groupIds.push_back(group);
 }
 
 void
 InterleavedChecker::eraseGroup(GroupId group)
 {
-    auto it = groups.find(group);
-    if (it == groups.end())
-        return;
+    const Slot slot = groupIndex.find(group);
+    if (slot != kNoSlot)
+        eraseGroupAt(slot);
+}
+
+void
+InterleavedChecker::eraseGroupAt(Slot slot)
+{
+    GroupSlot &entry = groupSlots[slot];
+    const GroupId group = entry.group.id();
     // Default span end for teardown without a report; sites with a
     // real fate (accept/error/timeout/shed) close the span first and
     // this becomes a no-op.
-    traceEnd(it->second, traceNow, obs::SpanEnd::Pruned);
-    auto map_it = groupToSet.find(group);
-    if (map_it != groupToSet.end()) {
-        auto set_it = idsets.find(map_it->second);
-        if (set_it != idsets.end()) {
-            auto &members = set_it->second.groupIds;
-            members.erase(std::remove(members.begin(), members.end(),
-                                      group),
-                          members.end());
-            if (members.empty()) {
-                indexRemoveSet(set_it->first, set_it->second);
-                eraseRecycled(idsets, set_it, spareIdSets);
-            }
-        }
-        eraseRecycled(groupToSet, map_it, spareRelations);
+    traceEnd(entry.group, traceNow, obs::SpanEnd::Pruned);
+    if (entry.set != kNoSlot) {
+        std::vector<GroupId> &members = setSlots[entry.set].groupIds;
+        members.erase(std::remove(members.begin(), members.end(), group),
+                      members.end());
+        if (members.empty())
+            eraseSet(entry.set);
     }
-    eraseRecycled(groups, it, spareGroups);
+    groupIndex.erase(group, slot);
+    eraseOrdered(groupOrder, group);
+    groupSlots.release(slot);
 }
 
 void
 InterleavedChecker::collectDescendants(GroupId group,
                                        std::vector<GroupId> &out) const
 {
-    auto it = groups.find(group);
-    if (it == groups.end())
+    const GroupSlot *entry = findGroup(group);
+    if (entry == nullptr)
         return;
-    for (GroupId child : it->second.children()) {
-        if (!groups.count(child))
+    for (GroupId child : entry->group.children()) {
+        if (findGroup(child) == nullptr)
             continue;
         out.push_back(child);
         collectDescendants(child, out);
@@ -637,31 +618,32 @@ InterleavedChecker::collectDescendants(GroupId group,
 void
 InterleavedChecker::pruneLineageOnAccept(GroupId winner)
 {
-    // seer-prove fast path: a winner with no rival set, no parent, and
-    // no children removes exactly itself — addRivalsOf is a no-op on
-    // rivalSet() == 0, the ancestor walk never starts, and there are
-    // no descendants. Skip the removal-set construction.
-    if (certFastActive) {
-        auto it = groups.find(winner);
-        if (it != groups.end() && it->second.rivalSet() == 0 &&
-            it->second.parent() == 0 && it->second.children().empty()) {
-            eraseGroup(winner);
-            return;
-        }
+    // A winner with no rival set, no parent, and no children removes
+    // exactly itself: addRivalsOf is a no-op on rivalSet() == 0, the
+    // ancestor walk never starts, and there are no descendants. Skip
+    // the removal-set construction.
+    const Slot won_slot = groupIndex.find(winner);
+    CS_ASSERT(won_slot != kNoSlot, "unknown group id");
+    const AutomatonGroup &won = groupSlots[won_slot].group;
+    if (won.rivalSet() == 0 && won.parent() == 0 &&
+        won.children().empty()) {
+        eraseGroupAt(won_slot);
+        return;
     }
 
     std::vector<GroupId> &removal = removalScratch;
     removal.clear();
 
     auto addRivalsOf = [this, &removal](GroupId gid) {
-        auto it = groups.find(gid);
-        if (it == groups.end() || it->second.rivalSet() == 0)
+        const GroupSlot *entry = findGroup(gid);
+        if (entry == nullptr || entry->group.rivalSet() == 0)
             return;
-        std::uint64_t rival_set = it->second.rivalSet();
-        for (const auto &[other_id, other] : groups) {
-            if (other_id != gid && other.rivalSet() == rival_set) {
-                removal.push_back(other_id);
-                collectDescendants(other_id, removal);
+        std::uint64_t rival_set = entry->group.rivalSet();
+        for (const Ordered &other : groupOrder) {
+            if (other.id != gid &&
+                groupSlots[other.slot].group.rivalSet() == rival_set) {
+                removal.push_back(other.id);
+                collectDescendants(other.id, removal);
             }
         }
     };
@@ -672,12 +654,12 @@ InterleavedChecker::pruneLineageOnAccept(GroupId winner)
     collectDescendants(winner, removal);
     addRivalsOf(winner);
 
-    GroupId ancestor = groups.at(winner).parent();
+    GroupId ancestor = won.parent();
     while (ancestor != 0) {
-        auto it = groups.find(ancestor);
-        if (it == groups.end())
+        const GroupSlot *entry = findGroup(ancestor);
+        if (entry == nullptr)
             break;
-        GroupId next = it->second.parent();
+        GroupId next = entry->group.parent();
         removal.push_back(ancestor);
         collectDescendants(ancestor, removal);
         addRivalsOf(ancestor);
@@ -692,10 +674,10 @@ InterleavedChecker::pruneLineageOnAccept(GroupId winner)
 }
 
 CheckEvent
-InterleavedChecker::makeEvent(CheckEventKind kind,
-                              const AutomatonGroup &group,
+InterleavedChecker::makeEvent(CheckEventKind kind, const GroupSlot &entry,
                               common::SimTime time) const
 {
+    const AutomatonGroup &group = entry.group;
     CheckEvent event;
     event.kind = kind;
     event.candidateTasks = group.candidateTaskNames();
@@ -713,12 +695,8 @@ InterleavedChecker::makeEvent(CheckEventKind kind,
     event.records.reserve(group.history().size() + 1);
     for (const ConsumedMessage &msg : group.history())
         event.records.push_back(msg.record);
-    auto rel = groupToSet.find(group.id());
-    if (rel != groupToSet.end()) {
-        auto set_it = idsets.find(rel->second);
-        if (set_it != idsets.end())
-            event.identifiers = set_it->second.ids.values();
-    }
+    if (entry.set != kNoSlot)
+        event.identifiers = setSlots[entry.set].ids.values();
     event.startTime = group.createdAt();
     event.time = time;
     event.group = group.id();
@@ -731,18 +709,19 @@ InterleavedChecker::harvestAcceptance(std::span<const GroupId> touched,
                                       std::vector<CheckEvent> &events)
 {
     for (GroupId gid : touched) {
-        auto it = groups.find(gid);
-        if (it == groups.end())
+        GroupSlot *entry = findGroup(gid);
+        if (entry == nullptr)
             continue; // pruned by an earlier winner this round
-        InstanceView accepted = it->second.acceptingInstance();
+        const AutomatonGroup &group = entry->group;
+        InstanceView accepted = group.acceptingInstance();
         if (!accepted)
             continue;
-        if (!it->second.zombie()) {
+        if (!group.zombie()) {
             ++counters.accepted;
             CheckEvent event =
-                makeEvent(CheckEventKind::Accepted, it->second, now);
+                makeEvent(CheckEventKind::Accepted, *entry, now);
             if (latencyPolicyActive() &&
-                annotateLatency(event, it->second, accepted)) {
+                annotateLatency(event, group, accepted)) {
                 event.kind = CheckEventKind::LatencyAnomaly;
                 ++counters.latencyAnomalies;
             }
@@ -761,7 +740,7 @@ InterleavedChecker::harvestAcceptance(std::span<const GroupId> touched,
                 }
                 tracer->addTransitions(gid, std::move(slices));
             }
-            traceEnd(it->second, now, obs::SpanEnd::Accepted);
+            traceEnd(group, now, obs::SpanEnd::Accepted);
             events.push_back(std::move(event));
         }
         pruneLineageOnAccept(gid);
@@ -781,27 +760,29 @@ InterleavedChecker::applyErrorCriterion(const CheckMessage &message,
     selectIdSets(view, -1, &overlap, config.tieBreakLeastDifference,
                  selectedScratch);
     GroupId chosen = 0;
+    const GroupSlot *chosen_entry = nullptr;
     for (std::uint64_t set_id : selectedScratch) {
-        auto set_it = idsets.find(set_id);
-        if (set_it == idsets.end())
+        const IdSetSlot *set = findSet(set_id);
+        if (set == nullptr)
             continue;
-        for (GroupId gid : set_it->second.groupIds) {
-            auto git = groups.find(gid);
-            if (git == groups.end())
+        for (GroupId gid : set->groupIds) {
+            const GroupSlot *entry = findGroup(gid);
+            if (entry == nullptr)
                 continue;
-            if (chosen == 0 || (groups.at(chosen).zombie() &&
-                                !git->second.zombie())) {
+            if (chosen == 0 || (chosen_entry->group.zombie() &&
+                                !entry->group.zombie())) {
                 chosen = gid;
+                chosen_entry = entry;
             }
         }
     }
 
     CheckEvent event;
     if (chosen != 0) {
-        traceEnd(groups.at(chosen), message.time,
+        traceEnd(chosen_entry->group, message.time,
                  obs::SpanEnd::Diverged);
-        event = makeEvent(CheckEventKind::ErrorDetected,
-                          groups.at(chosen), message.time);
+        event = makeEvent(CheckEventKind::ErrorDetected, *chosen_entry,
+                          message.time);
         // The paper stops choosing this instance for further messages.
         pruneLineageOnAccept(chosen);
     } else {
@@ -824,8 +805,6 @@ InterleavedChecker::feed(const CheckMessage &message)
     traceNow = message.time;
     currentRecord = message.record;
     pickSalt = 0;
-    certFastActive = message.tpl < certifiedTemplates.size() &&
-                     certifiedTemplates[message.tpl] != 0;
 
     // One dedup per message: every overlap / difference / insert below
     // works on this sorted-unique token view.
@@ -857,8 +836,8 @@ InterleavedChecker::feed(const CheckMessage &message)
         candidateGroups(selectedScratch, candidates);
     } else {
         candidates.clear();
-        for (const auto &[gid, group] : groups)
-            candidates.push_back(gid);
+        for (const Ordered &entry : groupOrder)
+            candidates.push_back(entry.id);
     }
 
     // --- trial consumption (lines 4-8) --------------------------------
@@ -866,20 +845,22 @@ InterleavedChecker::feed(const CheckMessage &message)
     std::vector<GroupId> &consuming = consumingScratch;
     consuming.clear();
     for (GroupId gid : candidates) {
-        auto it = groups.find(gid);
-        if (it != groups.end() && it->second.canConsume(message.tpl))
+        const GroupSlot *entry = findGroup(gid);
+        if (entry != nullptr && entry->group.canConsume(message.tpl))
             consuming.push_back(gid);
     }
 
     auto doDecisive = [this, &message, &view, &events](GroupId gid) {
-        AutomatonGroup &group = groups.at(gid);
+        GroupSlot *entry = findGroup(gid);
+        CS_ASSERT(entry != nullptr, "unknown group id");
+        AutomatonGroup &group = entry->group;
         bool ok =
             group.consume(message.tpl, message.record, message.time);
         CS_ASSERT(ok, "decisive consumption failed after canConsume");
         if (tracer != nullptr)
             tracer->annotate(gid, message.time,
                              obs::ConsumeAnnotation::Decisive);
-        applyDecisiveIdUpdate(gid, view);
+        applyDecisiveIdUpdate(*entry, view);
         harvestAcceptance({&gid, 1}, message.time, events);
     };
 
@@ -898,7 +879,7 @@ InterleavedChecker::feed(const CheckMessage &message)
                 forkRankScratch;
             rank.clear();
             for (std::size_t i = 0; i < gids.size(); ++i)
-                rank.emplace_back(groups.at(gids[i]).history().size(), i);
+                rank.emplace_back(groupAt(gids[i]).history().size(), i);
             std::sort(rank.begin(), rank.end(),
                       [](const auto &a, const auto &b) {
                           if (a.first != b.first)
@@ -916,18 +897,22 @@ InterleavedChecker::feed(const CheckMessage &message)
         std::vector<GroupId> &touched = touchedScratch;
         touched.clear();
         for (GroupId gid : gids) {
-            auto set_it = idsets.find(groupToSet.at(gid));
-            if (set_it != idsets.end())
-                pooled.unionWith(set_it->second.ids);
+            const GroupSlot *entry = findGroup(gid);
+            CS_ASSERT(entry != nullptr && entry->set != kNoSlot,
+                      "group without identifier set");
+            pooled.unionWith(setSlots[entry->set].ids);
         }
         pooled.insert(view);
-        std::uint64_t set_id = findOrCreateIdSet(pooled.values());
-        std::vector<GroupId> &members = idsets.at(set_id).groupIds;
+        const Slot set = findOrCreateIdSet(pooled.values());
+        // Slot storage is stable: `members`, the clone and its source
+        // stay valid while the clones are inserted.
+        std::vector<GroupId> &members = setSlots[set].groupIds;
         members.reserve(members.size() + gids.size());
         for (GroupId gid : gids) {
             GroupId clone_id = nextGroupId++;
-            AutomatonGroup &clone = insertGroup(clone_id);
-            AutomatonGroup &source = groups.at(gid);
+            GroupSlot &clone_entry = insertGroup(clone_id);
+            AutomatonGroup &clone = clone_entry.group;
+            AutomatonGroup &source = groupAt(gid);
             source.cloneInto(clone, clone_id, message.tpl);
             bool ok = clone.consume(message.tpl, message.record,
                                     message.time);
@@ -935,7 +920,7 @@ InterleavedChecker::feed(const CheckMessage &message)
             clone.setRivalSet(rival_set);
             source.addChild(clone_id);
             members.push_back(clone_id);
-            relate(clone_id, set_id);
+            clone_entry.set = set;
             if (tracer != nullptr) {
                 tracer->beginSpan(clone_id, message.time);
                 tracer->annotate(clone_id, message.time,
@@ -961,8 +946,8 @@ InterleavedChecker::feed(const CheckMessage &message)
             // cost the identifier heuristic avoids (paper §5.5).
             GroupId best = consuming.front();
             for (GroupId gid : consuming) {
-                if (groups.at(gid).history().size() >
-                    groups.at(best).history().size()) {
+                if (groupAt(gid).history().size() >
+                    groupAt(best).history().size()) {
                     best = gid;
                 }
             }
@@ -982,13 +967,14 @@ InterleavedChecker::feed(const CheckMessage &message)
             startersByTemplate[message.tpl];
         if (!starters.empty()) {
             const GroupId gid = nextGroupId++;
-            AutomatonGroup &fresh = insertGroup(gid);
+            GroupSlot &entry = insertGroup(gid);
+            AutomatonGroup &fresh = entry.group;
             fresh.reset(gid, starters);
             ++counters.recoveredNewSequence;
             bool ok = fresh.consume(message.tpl, message.record,
                                     message.time);
             CS_ASSERT(ok, "fresh group failed to consume");
-            registerGroup(gid, view);
+            registerGroup(entry, view);
             if (tracer != nullptr)
                 tracer->annotate(
                     gid, message.time,
@@ -1011,9 +997,9 @@ InterleavedChecker::feed(const CheckMessage &message)
                 std::vector<GroupId> &takers = consumingScratch;
                 takers.clear();
                 for (GroupId gid : level_groups) {
-                    auto it = groups.find(gid);
-                    if (it != groups.end() &&
-                        it->second.canConsume(message.tpl)) {
+                    const GroupSlot *entry = findGroup(gid);
+                    if (entry != nullptr &&
+                        entry->group.canConsume(message.tpl)) {
                         takers.push_back(gid);
                     }
                 }
@@ -1057,14 +1043,14 @@ InterleavedChecker::feed(const CheckMessage &message)
     // groups (paper Figure 4). Removed edges feed the refinement loop.
     if (config.falseDependencyRemoval) {
         for (GroupId gid : candidates) {
-            auto it = groups.find(gid);
-            if (it == groups.end())
+            GroupSlot *entry = findGroup(gid);
+            if (entry == nullptr)
                 continue;
             std::vector<AutomatonGroup::RepairedEdge> &repaired =
                 repairedScratch;
             repaired.clear();
-            if (it->second.consumeWithRepair(message.tpl, message.record,
-                                             message.time, &repaired)) {
+            if (entry->group.consumeWithRepair(message.tpl, message.record,
+                                               message.time, &repaired)) {
                 ++counters.recoveredFalseDependency;
                 if (tracer != nullptr)
                     tracer->annotate(gid, message.time,
@@ -1075,7 +1061,7 @@ InterleavedChecker::feed(const CheckMessage &message)
                     ++removalCounts[edge.automaton->name()]
                                    [{edge.from, edge.to}];
                 }
-                applyDecisiveIdUpdate(gid, view);
+                applyDecisiveIdUpdate(*entry, view);
                 harvestAcceptance({&gid, 1}, message.time, events);
                 return events;
             }
@@ -1093,27 +1079,28 @@ InterleavedChecker::feed(const CheckMessage &message)
 
 bool
 InterleavedChecker::lineageCovered(const AutomatonGroup &group,
-                                   common::SimTime now,
-                                   double timeout) const
+                                   common::SimTime now, double timeout)
 {
     auto recent = [now, timeout](const AutomatonGroup &g) {
         return now - g.lastActivity() <= timeout;
     };
 
-    auto parent_it = groups.find(group.parent());
-    if (parent_it != groups.end() && recent(parent_it->second))
+    const GroupSlot *parent = findGroup(group.parent());
+    if (parent != nullptr && recent(parent->group))
         return true;
 
-    std::vector<GroupId> descendants;
+    std::vector<GroupId> &descendants = descendantScratch;
+    descendants.clear();
     collectDescendants(group.id(), descendants);
     for (GroupId gid : descendants) {
-        if (recent(groups.at(gid)))
+        if (recent(groupAt(gid)))
             return true;
     }
 
     if (group.rivalSet() != 0) {
-        for (const auto &[gid, other] : groups) {
-            if (gid != group.id() &&
+        for (const Ordered &entry : groupOrder) {
+            const AutomatonGroup &other = groupSlots[entry.slot].group;
+            if (entry.id != group.id() &&
                 other.rivalSet() == group.rivalSet() && recent(other)) {
                 return true;
             }
@@ -1137,38 +1124,58 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
 {
     std::vector<CheckEvent> events;
     traceNow = now;
-    // Walk the live map directly: the loop erases at most the group it
-    // stands on and creates none, so advancing first visits exactly
-    // the groups that were live when the sweep began.
-    for (auto it = groups.begin(); it != groups.end();) {
-        const GroupId gid = it->first;
-        auto current = it++;
-        AutomatonGroup &group = current->second;
+    // Walk the live order directly: the loop erases at most the group
+    // it stands on (the next one then moves into its place) and creates
+    // none, so it visits exactly the groups that were live when the
+    // sweep began, in id order.
+    for (std::size_t i = 0; i < groupOrder.size();) {
+        const Slot slot = groupOrder[i].slot;
+        GroupSlot &entry = groupSlots[slot];
+        AutomatonGroup &group = entry.group;
         double timeout = resolver(group.candidateTaskNames());
         maxResolvedTimeout = std::max(maxResolvedTimeout, timeout);
+        bool erase = false;
         if (group.zombie()) {
             // Zombies linger to absorb late messages, then fade.
-            if (now - group.lastActivity() > 3.0 * maxResolvedTimeout)
-                eraseGroup(gid);
-            continue;
+            erase = now - group.lastActivity() > 3.0 * maxResolvedTimeout;
+        } else if (now - group.lastActivity() > timeout) {
+            if (config.timeoutSuppression &&
+                lineageCovered(group, now, timeout)) {
+                ++counters.timeoutsSuppressed;
+                erase = true;
+            } else {
+                ++counters.timeoutsReported;
+                traceEnd(group, now, obs::SpanEnd::TimedOut);
+                events.push_back(
+                    makeEvent(CheckEventKind::Timeout, entry, now));
+                if (config.zombieAbsorption)
+                    group.markZombie();
+                else
+                    erase = true;
+            }
         }
-        if (now - group.lastActivity() <= timeout)
-            continue;
-        if (config.timeoutSuppression && lineageCovered(group, now,
-                                                        timeout)) {
-            ++counters.timeoutsSuppressed;
-            eraseGroup(gid);
-            continue;
-        }
-        ++counters.timeoutsReported;
-        traceEnd(group, now, obs::SpanEnd::TimedOut);
-        events.push_back(makeEvent(CheckEventKind::Timeout, group, now));
-        if (config.zombieAbsorption)
-            group.markZombie();
+        if (erase)
+            eraseGroupAt(slot);
         else
-            eraseGroup(gid);
+            ++i;
     }
     return events;
+}
+
+void
+InterleavedChecker::orderForShedding()
+{
+    shedScratch.assign(groupOrder.begin(), groupOrder.end());
+    std::sort(shedScratch.begin(), shedScratch.end(),
+              [this](const Ordered &a, const Ordered &b) {
+                  const AutomatonGroup &ga = groupSlots[a.slot].group;
+                  const AutomatonGroup &gb = groupSlots[b.slot].group;
+                  if (ga.zombie() != gb.zombie())
+                      return ga.zombie();
+                  if (ga.lastActivity() != gb.lastActivity())
+                      return ga.lastActivity() < gb.lastActivity();
+                  return a.id < b.id;
+              });
 }
 
 std::vector<CheckEvent>
@@ -1176,37 +1183,23 @@ InterleavedChecker::shedToCap(std::size_t cap, common::SimTime now)
 {
     std::vector<CheckEvent> events;
     traceNow = now;
-    if (groups.size() <= cap)
+    if (groupOrder.size() <= cap)
         return events;
 
     // Eviction order: zombies first (already reported; pure state),
     // then least-recently-active. Ties fall back to the older group
     // id, which is deterministic.
-    std::vector<GroupId> order;
-    order.reserve(groups.size());
-    for (const auto &[gid, group] : groups)
-        order.push_back(gid);
-    std::sort(order.begin(), order.end(),
-              [this](GroupId a, GroupId b) {
-                  const AutomatonGroup &ga = groups.at(a);
-                  const AutomatonGroup &gb = groups.at(b);
-                  if (ga.zombie() != gb.zombie())
-                      return ga.zombie();
-                  if (ga.lastActivity() != gb.lastActivity())
-                      return ga.lastActivity() < gb.lastActivity();
-                  return a < b;
-              });
-
-    std::size_t to_shed = groups.size() - cap;
-    for (std::size_t i = 0; i < to_shed && i < order.size(); ++i) {
-        auto it = groups.find(order[i]);
-        if (it == groups.end())
+    orderForShedding();
+    std::size_t to_shed = groupOrder.size() - cap;
+    for (std::size_t i = 0; i < to_shed && i < shedScratch.size(); ++i) {
+        const GroupSlot *entry = findGroup(shedScratch[i].id);
+        if (entry == nullptr)
             continue;
         ++counters.groupsShed;
-        traceEnd(it->second, now, obs::SpanEnd::Shed);
+        traceEnd(entry->group, now, obs::SpanEnd::Shed);
         events.push_back(
-            makeEvent(CheckEventKind::Degraded, it->second, now));
-        eraseGroup(order[i]);
+            makeEvent(CheckEventKind::Degraded, *entry, now));
+        eraseGroup(shedScratch[i].id);
     }
     return events;
 }
@@ -1217,104 +1210,108 @@ InterleavedChecker::finish(common::SimTime now)
     std::vector<CheckEvent> events;
     traceNow = now;
     std::vector<GroupId> snapshot;
-    for (const auto &[gid, group] : groups)
-        snapshot.push_back(gid);
+    snapshot.reserve(groupOrder.size());
+    for (const Ordered &entry : groupOrder)
+        snapshot.push_back(entry.id);
     for (GroupId gid : snapshot) {
-        auto it = groups.find(gid);
-        if (it == groups.end())
+        const GroupSlot *entry = findGroup(gid);
+        if (entry == nullptr)
             continue;
-        if (!it->second.zombie()) {
-            traceEnd(it->second, now, obs::SpanEnd::EndOfStream);
-            events.push_back(makeEvent(CheckEventKind::Timeout,
-                                       it->second, now));
+        if (!entry->group.zombie()) {
+            traceEnd(entry->group, now, obs::SpanEnd::EndOfStream);
+            events.push_back(
+                makeEvent(CheckEventKind::Timeout, *entry, now));
         }
         eraseGroup(gid);
     }
-    idsets.clear();
-    groupToSet.clear();
-    postings.clear();
-    setsByContents.clear();
+    // A set only outlives its last group in a restored image.
+    while (!setOrder.empty())
+        eraseSet(setOrder.back().slot);
     return events;
 }
 
 const std::vector<std::uint64_t> *
 InterleavedChecker::postingsFor(IdToken token) const
 {
-    auto it = postings.find(token);
-    return it == postings.end() ? nullptr : &it->second;
+    const Slot slot = postingIndex.find(token);
+    return slot == kNoSlot ? nullptr : &postingLists[slot];
+}
+
+InterleavedChecker::SlotFootprint
+InterleavedChecker::slotFootprint() const
+{
+    SlotFootprint footprint;
+    footprint.groupSlots = groupSlots.slots();
+    footprint.idSetSlots = setSlots.slots();
+    footprint.postingSlots = postingLists.slots();
+    footprint.spareSlots =
+        groupSlots.spares() + setSlots.spares() + postingLists.spares();
+    footprint.groupIndexCapacity = groupIndex.capacity();
+    footprint.idSetIndexCapacity = setIndex.capacity();
+    footprint.postingIndexCapacity = postingIndex.capacity();
+    footprint.contentsIndexCapacity = contentsIndex.capacity();
+    return footprint;
 }
 
 bool
 InterleavedChecker::indexConsistent() const
 {
-    // Every live set's tokens each carry exactly one posting entry…
+    // Every live set is indexed under its id and its contents…
     std::size_t expected_postings = 0;
-    for (const auto &[set_id, entry] : idsets) {
+    for (const Ordered &set : setOrder) {
+        const IdSetSlot &entry = setSlots[set.slot];
+        if (entry.id != set.id || setIndex.find(set.id) != set.slot)
+            return false;
+        std::size_t keyed = 0;
+        contentsIndex.forEach(entry.contentsKey,
+                              [&](Slot slot) { keyed += slot == set.slot; });
+        if (keyed != 1 || entry.contentsKey != contentsKeyOf(entry.ids.values()))
+            return false;
+        // …its tokens each carry exactly one posting entry…
         expected_postings += entry.ids.size();
         for (IdToken token : entry.ids.values()) {
-            auto it = postings.find(token);
-            if (it == postings.end())
+            const std::vector<std::uint64_t> *list = postingsFor(token);
+            if (list == nullptr ||
+                std::count(list->begin(), list->end(), set.id) != 1)
                 return false;
-            if (std::count(it->second.begin(), it->second.end(),
-                           set_id) != 1) {
-                return false;
-            }
-        }
-        // …the contents map knows the set…
-        auto cit = setsByContents.find(entry.ids.values());
-        if (cit == setsByContents.end() ||
-            std::count(cit->second.begin(), cit->second.end(),
-                       set_id) != 1) {
-            return false;
         }
         // …and every member group points back at the set.
         for (GroupId gid : entry.groupIds) {
-            if (!groups.count(gid))
-                return false;
-            auto git = groupToSet.find(gid);
-            if (git == groupToSet.end() || git->second != set_id)
+            const GroupSlot *member = findGroup(gid);
+            if (member == nullptr || member->set != set.slot)
                 return false;
         }
     }
-    // …and no posting or contents entry points at a dead set.
+    if (setIndex.size() != setOrder.size() ||
+        contentsIndex.size() != setOrder.size())
+        return false;
+    // No posting points at a dead set or at one without its token.
     std::size_t actual_postings = 0;
-    for (const auto &[token, list] : postings) {
-        if (list.empty())
-            return false;
+    bool postings_live = true;
+    postingIndex.forEachEntry([&](std::uint64_t token, Slot slot) {
+        const std::vector<std::uint64_t> &list = postingLists[slot];
+        postings_live = postings_live && !list.empty();
         actual_postings += list.size();
         for (std::uint64_t set_id : list) {
-            auto it = idsets.find(set_id);
-            if (it == idsets.end() || !it->second.ids.contains(token))
-                return false;
+            const IdSetSlot *set = findSet(set_id);
+            if (set == nullptr ||
+                !set->ids.contains(static_cast<IdToken>(token)))
+                postings_live = false;
         }
-    }
-    if (actual_postings != expected_postings)
+    });
+    if (!postings_live || actual_postings != expected_postings)
         return false;
-    std::size_t contents_ids = 0;
-    for (const auto &[contents, ids] : setsByContents) {
-        if (ids.empty() || !std::is_sorted(ids.begin(), ids.end()))
+    // Every group is indexed and reachable from its set.
+    for (const Ordered &group : groupOrder) {
+        const GroupSlot &entry = groupSlots[group.slot];
+        if (entry.group.id() != group.id ||
+            groupIndex.find(group.id) != group.slot || entry.set == kNoSlot)
             return false;
-        contents_ids += ids.size();
-        for (std::uint64_t set_id : ids) {
-            auto it = idsets.find(set_id);
-            if (it == idsets.end() ||
-                it->second.ids.values() != contents) {
-                return false;
-            }
-        }
-    }
-    if (contents_ids != idsets.size())
-        return false;
-    // Every group is reachable from its set.
-    for (const auto &[gid, set_id] : groupToSet) {
-        auto it = idsets.find(set_id);
-        if (it == idsets.end())
-            return false;
-        const auto &members = it->second.groupIds;
-        if (std::count(members.begin(), members.end(), gid) != 1)
+        const std::vector<GroupId> &members = setSlots[entry.set].groupIds;
+        if (std::count(members.begin(), members.end(), group.id) != 1)
             return false;
     }
-    return groupToSet.size() == groups.size();
+    return groupIndex.size() == groupOrder.size();
 }
 
 std::uint64_t
@@ -1368,33 +1365,19 @@ InterleavedChecker::shedToMemory(std::size_t max_bytes,
     // Identical eviction order to shedToCap: zombies first, then
     // least-recently-active, ties to the older id — the two shedding
     // paths are one contract, differing only in the stop condition.
-    std::vector<GroupId> order;
-    order.reserve(groups.size());
-    for (const auto &[gid, group] : groups)
-        order.push_back(gid);
-    std::sort(order.begin(), order.end(),
-              [this](GroupId a, GroupId b) {
-                  const AutomatonGroup &ga = groups.at(a);
-                  const AutomatonGroup &gb = groups.at(b);
-                  if (ga.zombie() != gb.zombie())
-                      return ga.zombie();
-                  if (ga.lastActivity() != gb.lastActivity())
-                      return ga.lastActivity() < gb.lastActivity();
-                  return a < b;
-              });
-
-    for (GroupId gid : order) {
-        if (retained <= max_bytes || groups.size() <= 1)
+    orderForShedding();
+    for (const Ordered &victim : shedScratch) {
+        if (retained <= max_bytes || groupOrder.size() <= 1)
             break;
-        auto it = groups.find(gid);
-        if (it == groups.end())
+        const GroupSlot *entry = findGroup(victim.id);
+        if (entry == nullptr)
             continue;
-        std::size_t group_bytes = it->second.approxRetainedBytes();
+        std::size_t group_bytes = entry->group.approxRetainedBytes();
         ++counters.groupsShed;
-        traceEnd(it->second, now, obs::SpanEnd::Shed);
+        traceEnd(entry->group, now, obs::SpanEnd::Shed);
         events.push_back(
-            makeEvent(CheckEventKind::Degraded, it->second, now));
-        eraseGroup(gid);
+            makeEvent(CheckEventKind::Degraded, *entry, now));
+        eraseGroup(victim.id);
         retained -= std::min(retained, group_bytes);
     }
     return events;
@@ -1403,19 +1386,22 @@ InterleavedChecker::shedToMemory(std::size_t max_bytes,
 std::size_t
 InterleavedChecker::approxRetainedBytes() const
 {
-    // Bookkeeping overhead constants are rough node-size guesses; the
-    // point is a deterministic, monotone measure over persisted state,
-    // not byte-exact accounting.
+    // Bookkeeping overhead constants are rough per-entry guesses (they
+    // date from node-based maps and stay fixed so eviction decisions
+    // and their pins do not move); the point is a deterministic,
+    // monotone measure over persisted state, not byte-exact accounting.
     std::size_t bytes = 0;
-    for (const auto &[gid, group] : groups)
-        bytes += group.approxRetainedBytes() + 48;
-    for (const auto &[set_id, entry] : idsets) {
-        // x2 on tokens: the postings and contents maps mirror every
+    for (const Ordered &group : groupOrder)
+        bytes += groupSlots[group.slot].group.approxRetainedBytes() + 48;
+    for (const Ordered &set : setOrder) {
+        const IdSetSlot &entry = setSlots[set.slot];
+        // x2 on tokens: the postings and contents index mirror every
         // live set's token list.
         bytes += 2 * entry.ids.size() * sizeof(IdToken) +
                  entry.groupIds.size() * sizeof(GroupId) + 96;
     }
-    bytes += groupToSet.size() * 48;
+    // The group -> set relation: one entry per live group.
+    bytes += groupOrder.size() * 48;
     for (const auto &[name, edges] : removalCounts)
         bytes += name.size() + edges.size() * 24 + 64;
     return bytes;
@@ -1440,9 +1426,9 @@ InterleavedChecker::saveState(common::BinWriter &out) const
     out.writeU64(counters.accepted);
     out.writeU64(counters.consumeAttempts);
 
-    out.writeU64(groups.size());
-    for (const auto &[gid, group] : groups)
-        group.saveState(out, automatonSet);
+    out.writeU64(groupOrder.size());
+    for (const Ordered &group : groupOrder)
+        groupSlots[group.slot].group.saveState(out, automatonSet);
 
     out.writeU64(removalCounts.size());
     for (const auto &[name, edges] : removalCounts) {
@@ -1455,17 +1441,19 @@ InterleavedChecker::saveState(common::BinWriter &out) const
         }
     }
 
-    out.writeU64(idsets.size());
-    for (const auto &[set_id, entry] : idsets) {
-        out.writeU64(set_id);
+    out.writeU64(setOrder.size());
+    for (const Ordered &set : setOrder) {
+        const IdSetSlot &entry = setSlots[set.slot];
+        out.writeU64(set.id);
         out.writeU32Vector(entry.ids.values());
         out.writeU64Vector(entry.groupIds);
     }
 
-    out.writeU64(groupToSet.size());
-    for (const auto &[gid, set_id] : groupToSet) {
-        out.writeU64(gid);
-        out.writeU64(set_id);
+    // The group -> set relation, one pair per group in id order.
+    out.writeU64(groupOrder.size());
+    for (const Ordered &group : groupOrder) {
+        out.writeU64(group.id);
+        out.writeU64(setSlots[groupSlots[group.slot].set].id);
     }
 
     out.writeU64(nextGroupId);
@@ -1474,20 +1462,25 @@ InterleavedChecker::saveState(common::BinWriter &out) const
     out.writeF64(maxResolvedTimeout);
 }
 
+void
+InterleavedChecker::clearState()
+{
+    groupSlots.clear();
+    groupIndex.clear();
+    groupOrder.clear();
+    setSlots.clear();
+    setIndex.clear();
+    setOrder.clear();
+    postingLists.clear();
+    postingIndex.clear();
+    contentsIndex.clear();
+    removalCounts.clear();
+}
+
 bool
 InterleavedChecker::restoreState(common::BinReader &in)
 {
-    groups.clear();
-    removalCounts.clear();
-    idsets.clear();
-    groupToSet.clear();
-    postings.clear();
-    setsByContents.clear();
-    spareGroups.clear();
-    spareIdSets.clear();
-    spareRelations.clear();
-    sparePostings.clear();
-    spareContents.clear();
+    clearState();
 
     counters = CheckerStats{};
     counters.messages = in.readU64();
@@ -1506,19 +1499,28 @@ InterleavedChecker::restoreState(common::BinReader &in)
     counters.accepted = in.readU64();
     counters.consumeAttempts = in.readU64();
 
+    // Images list groups and sets in id order, but a damaged one need
+    // not: each order vector is sorted once its section is read.
+    auto by_id = [](const Ordered &a, const Ordered &b) {
+        return a.id < b.id;
+    };
+
     std::uint64_t group_count = in.readU64();
     if (!in.ok())
         return false;
     for (std::uint64_t i = 0; i < group_count; ++i) {
-        AutomatonGroup group;
-        if (!group.restoreState(in, automatonSet))
-            return false;
-        GroupId gid = group.id();
-        if (!groups.emplace(gid, std::move(group)).second) {
+        const Slot slot = groupSlots.acquire();
+        AutomatonGroup &group = groupSlots[slot].group;
+        if (!group.restoreState(in, automatonSet) ||
+            groupIndex.find(group.id()) != kNoSlot) {
+            groupSlots.release(slot);
             in.fail();
             return false;
         }
+        groupIndex.insert(group.id(), slot);
+        groupOrder.push_back({group.id(), slot});
     }
+    std::sort(groupOrder.begin(), groupOrder.end(), by_id);
 
     std::uint64_t removal_tasks = in.readU64();
     if (!in.ok())
@@ -1549,23 +1551,24 @@ InterleavedChecker::restoreState(common::BinReader &in)
         std::uint64_t set_id = in.readU64();
         std::vector<IdToken> tokens = in.readU32Vector();
         std::vector<std::uint64_t> members = in.readU64Vector();
-        if (!in.ok())
-            return false;
-        IdSetEntry entry;
-        entry.ids = IdentifierSet(tokens);
-        entry.groupIds = std::move(members);
-        auto [pos, inserted] = idsets.emplace(set_id, std::move(entry));
-        if (!inserted) {
+        if (!in.ok() || setIndex.find(set_id) != kNoSlot) {
             in.fail();
             return false;
         }
+        const Slot slot = setSlots.acquire();
+        IdSetSlot &entry = setSlots[slot];
+        entry.id = set_id;
+        entry.ids = IdentifierSet(tokens);
+        entry.groupIds = std::move(members);
+        setIndex.insert(set_id, slot);
+        setOrder.push_back({set_id, slot});
         // Rebuild the derived routing index. Posting lists fill in
-        // ascending set-id order (map iteration), which may differ
-        // from the incremental insertion order of the live run —
-        // selection sorts candidates by set id, so the difference is
-        // unobservable.
-        indexAddSet(set_id, pos->second);
+        // image order, which may differ from the incremental insertion
+        // order of the live run — selection sorts candidates by set
+        // id, so the difference is unobservable.
+        indexAddSet(slot);
     }
+    std::sort(setOrder.begin(), setOrder.end(), by_id);
 
     std::uint64_t relation_count = in.readU64();
     if (!in.ok())
@@ -1573,10 +1576,13 @@ InterleavedChecker::restoreState(common::BinReader &in)
     for (std::uint64_t i = 0; i < relation_count; ++i) {
         GroupId gid = in.readU64();
         std::uint64_t set_id = in.readU64();
-        if (!in.ok() || !groupToSet.emplace(gid, set_id).second) {
+        GroupSlot *entry = in.ok() ? findGroup(gid) : nullptr;
+        const Slot set = setIndex.find(set_id);
+        if (entry == nullptr || entry->set != kNoSlot || set == kNoSlot) {
             in.fail();
             return false;
         }
+        entry->set = set;
     }
 
     nextGroupId = in.readU64();
@@ -1592,8 +1598,9 @@ std::size_t
 InterleavedChecker::identifierTokenBound() const
 {
     std::size_t bound = 0;
-    for (const auto &[token, sets] : postings)
+    postingIndex.forEachEntry([&bound](std::uint64_t token, Slot) {
         bound = std::max(bound, static_cast<std::size_t>(token) + 1);
+    });
     return bound;
 }
 
@@ -1606,12 +1613,12 @@ InterleavedChecker::restoredStateConsistent() const
         return false;
     // …and the next ids are fresh, so a new group or set never takes
     // the key of a live one.
-    if (!groups.empty() && groups.rbegin()->first >= nextGroupId)
+    if (!groupOrder.empty() && groupOrder.back().id >= nextGroupId)
         return false;
-    if (!idsets.empty() && idsets.rbegin()->first >= nextIdSetId)
+    if (!setOrder.empty() && setOrder.back().id >= nextIdSetId)
         return false;
-    for (const auto &[gid, group] : groups) {
-        if (group.rivalSet() >= nextRivalSet)
+    for (const Ordered &group : groupOrder) {
+        if (groupSlots[group.slot].group.rivalSet() >= nextRivalSet)
             return false;
     }
     return true;

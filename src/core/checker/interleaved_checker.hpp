@@ -32,13 +32,13 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/binio.hpp"
 #include "common/time_util.hpp"
 #include "core/automaton/refinement.hpp"
 #include "core/checker/check_types.hpp"
+#include "core/checker/slot_table.hpp"
 #include "core/mining/latency_profile.hpp"
 #include "obs/trace.hpp"
 
@@ -213,10 +213,10 @@ class InterleavedChecker
     const CheckerStats &stats() const { return counters; }
 
     /** Groups currently tracked. */
-    std::size_t activeGroups() const { return groups.size(); }
+    std::size_t activeGroups() const { return groupOrder.size(); }
 
     /** Identifier sets currently tracked. */
-    std::size_t activeIdentifierSets() const { return idsets.size(); }
+    std::size_t activeIdentifierSets() const { return setOrder.size(); }
 
     /**
      * Posting list of a token (id-set ids containing it), or nullptr
@@ -227,7 +227,26 @@ class InterleavedChecker
     postingsFor(logging::IdToken token) const;
 
     /** Tokens currently carrying a non-empty posting list. */
-    std::size_t postingTokens() const { return postings.size(); }
+    std::size_t postingTokens() const { return postingIndex.size(); }
+
+    /**
+     * Sizes of the slot pools and flat tables behind the live state.
+     * Slot counts are bounded by the peak of live entries and table
+     * capacities by the live entry count; a long run whose live work
+     * stays small keeps them small. Test surface; not checker state.
+     */
+    struct SlotFootprint
+    {
+        std::size_t groupSlots = 0;      ///< group slots ever made
+        std::size_t idSetSlots = 0;      ///< identifier-set slots ever made
+        std::size_t postingSlots = 0;    ///< posting-list slots ever made
+        std::size_t spareSlots = 0;      ///< free slots still holding buffers
+        std::size_t groupIndexCapacity = 0;    ///< id -> slot entries
+        std::size_t idSetIndexCapacity = 0;    ///< id -> slot entries
+        std::size_t postingIndexCapacity = 0;  ///< token -> slot entries
+        std::size_t contentsIndexCapacity = 0; ///< contents -> slot entries
+    };
+    SlotFootprint slotFootprint() const;
 
     /**
      * Identifier sets visited by selection so far: every live set per
@@ -278,25 +297,37 @@ class InterleavedChecker
     bool latencyPolicyActive() const { return !latencyProfiles.empty(); }
 
     /**
-     * Install the seer-prove certified-unambiguous template bitmap
-     * (DESIGN.md §15), indexed by TemplateId. Messages of certified
-     * templates take provably equivalent shortcut paths through
-     * Algorithm 2's selection, rekeying, and lineage pruning; reports
-     * stay bit-identical either way. An empty bitmap (the default)
-     * disables the fast path entirely. Configuration, not checker
-     * state: saveState images never carry it and restoreState leaves
-     * it in place, mirroring the latency policy's lifecycle.
+     * Kept for callers of the former seer-prove certified dispatch
+     * (DESIGN.md §15); does nothing. The shortcuts the certificate
+     * used to arm are identities whatever the template, so the checker
+     * now takes them for every message and reads no certificate.
      */
-    void setCertifiedTemplates(std::vector<char> certified);
-
-    /** Number of certified templates currently installed. */
-    std::size_t certifiedTemplateCount() const;
+    void setCertifiedTemplates(const std::vector<char> &) {}
 
   private:
-    struct IdSetEntry
+    /** A live group and the identifier set it belongs to: the paper's
+     *  relation R, folded into the group's slot. */
+    struct GroupSlot
     {
+        AutomatonGroup group;
+        Slot set = kNoSlot;
+    };
+
+    /** A live identifier set and the groups it routes to. */
+    struct IdSetSlot
+    {
+        std::uint64_t id = 0;
         IdentifierSet ids;
         std::vector<GroupId> groupIds;
+        /** This set's key in contentsIndex (a hash of ids). */
+        std::uint64_t contentsKey = 0;
+    };
+
+    /** Id and slot of a live group or set, for walks in id order. */
+    struct Ordered
+    {
+        std::uint64_t id = 0;
+        Slot slot = kNoSlot;
     };
 
     CheckerConfig config;
@@ -313,14 +344,6 @@ class InterleavedChecker
     std::vector<std::vector<const TaskAutomaton *>> startersByTemplate;
     CheckerStats counters;
 
-    /** seer-prove certified-unambiguous bitmap (config-like; empty =
-     *  fast path off). */
-    std::vector<char> certifiedTemplates;
-
-    /** True while the message in feed() has a certified template; the
-     *  gate on every fast-path shortcut below. */
-    bool certFastActive = false;
-
     /** Record id of the message currently in feed(); the hash basis
      *  of the equivalence-class pick. */
     logging::RecordId currentRecord = 0;
@@ -332,62 +355,83 @@ class InterleavedChecker
      *  and next ids fit together the way live state always does. */
     bool restoredStateConsistent() const;
 
+    /** Drop every group, set, posting and removal tally. */
+    void clearState();
+
     /** Pure deterministic pick: index into a pool of `pool_size`. */
     std::size_t equivalencePickIndex(std::size_t pool_size);
 
-    using GroupMap = std::map<GroupId, AutomatonGroup>;
-    using IdSetMap = std::map<std::uint64_t, IdSetEntry>;
-    using RelationMap = std::map<GroupId, std::uint64_t>;
-    using PostingMap =
-        std::unordered_map<logging::IdToken, std::vector<std::uint64_t>>;
-    using ContentsMap =
-        std::map<std::vector<logging::IdToken>, std::vector<std::uint64_t>>;
-
-    GroupMap groups;
-    RemovalCounts removalCounts;
-    IdSetMap idsets;
-    RelationMap groupToSet;
-
-    /**
-     * Inverted routing index: token -> sorted-insertion list of the
-     * id-set ids whose set contains the token. Maintained on set
-     * creation, in-place expansion, and retirement; entries whose
-     * lists drain are erased so the index never outgrows live state.
-     */
-    PostingMap postings;
-
-    /**
-     * Exact-contents lookup for findOrCreateIdSet: token vector ->
-     * ascending id-set ids with those exact contents (in-place
-     * expansion can transiently alias two sets; the scan semantics
-     * pick the lowest id, so the front() is the answer).
-     */
-    ContentsMap setsByContents;
-
-    // --- recycled map nodes (DESIGN.md §19) ----------------------------
+    // --- cross-message state in dense slots (DESIGN.md §19) ------------
     //
-    // An erased entry's node is extracted here with its buffers (a
-    // group's arena and history, a set's token and member vectors, a
-    // posting list, a contents key) and the next entry created in that
-    // map reuses it. Each list is trimmed to its map's live size plus
-    // kSpareNodeFloor, so recycling keeps state O(live work). Spares
-    // are not checker state: saveState never writes them.
+    // Groups, identifier sets and posting lists live in slot pools; a
+    // retired slot keeps its buffers for the next occupant, within the
+    // pool's trim bound. Group and set ids are handed out in ascending
+    // order, so a new one always goes at the back of its order vector;
+    // every walk that fixes output order (the sweep, finish, shed ties,
+    // rival lookups, checkpoints, the scan path) goes through those.
 
-    std::vector<GroupMap::node_type> spareGroups;
-    std::vector<IdSetMap::node_type> spareIdSets;
-    std::vector<RelationMap::node_type> spareRelations;
-    std::vector<PostingMap::node_type> sparePostings;
-    std::vector<ContentsMap::node_type> spareContents;
+    SlotPool<GroupSlot> groupSlots;
+    SlotIndex groupIndex;            ///< group id -> slot
+    std::vector<Ordered> groupOrder; ///< live groups, ascending id
 
-    /** Posting for `token` -> `set_id`, reusing a spare posting node. */
+    SlotPool<IdSetSlot> setSlots;
+    SlotIndex setIndex;            ///< set id -> slot
+    std::vector<Ordered> setOrder; ///< live sets, ascending id
+
+    RemovalCounts removalCounts;
+
+    /**
+     * Inverted routing index: token -> posting slot, whose list holds
+     * the ids of the sets containing the token in insertion order.
+     * Maintained on set creation, in-place expansion, and retirement;
+     * a list that drains leaves the index, so the table is sized to
+     * the live tokens.
+     */
+    SlotIndex postingIndex;
+    SlotPool<std::vector<std::uint64_t>> postingLists;
+
+    /**
+     * Exact-contents lookup for findOrCreateIdSet: a hash of each live
+     * set's sorted tokens -> its slot. Every hit is confirmed against
+     * the set's tokens; in-place expansion can transiently alias two
+     * sets, and the scan semantics pick the lowest id among them.
+     */
+    SlotIndex contentsIndex;
+
+    /** The live group `gid`, or null. */
+    GroupSlot *
+    findGroup(GroupId gid)
+    {
+        const Slot slot = groupIndex.find(gid);
+        return slot == kNoSlot ? nullptr : &groupSlots[slot];
+    }
+    const GroupSlot *
+    findGroup(GroupId gid) const
+    {
+        const Slot slot = groupIndex.find(gid);
+        return slot == kNoSlot ? nullptr : &groupSlots[slot];
+    }
+
+    /** The live group `gid`, which must exist. */
+    AutomatonGroup &groupAt(GroupId gid);
+    const AutomatonGroup &groupAt(GroupId gid) const;
+
+    /** The live set `set_id`, or null. */
+    const IdSetSlot *
+    findSet(std::uint64_t set_id) const
+    {
+        const Slot slot = setIndex.find(set_id);
+        return slot == kNoSlot ? nullptr : &setSlots[slot];
+    }
+
+    /** Posting for `token` -> `set_id`. */
     void addPosting(logging::IdToken token, std::uint64_t set_id);
 
-    /** groupToSet[gid] = set_id, reusing a spare relation node. */
-    void relate(GroupId gid, std::uint64_t set_id);
-
-    /** A live group entry under `gid`, in a spare node when there is one
-     *  (its contents are stale: the caller resets or clones into it). */
-    AutomatonGroup &insertGroup(GroupId gid);
+    /** A live group under `gid` (greater than every live id), in a
+     *  reused slot when there is one (its contents are stale: the caller
+     *  resets or clones into it). The reference stays valid while other
+     *  groups are inserted. */
+    GroupSlot &insertGroup(GroupId gid);
 
     std::uint64_t nextGroupId = 1;
     std::uint64_t nextIdSetId = 1;
@@ -428,41 +472,40 @@ class InterleavedChecker
                          std::vector<GroupId> &out);
 
     /** Case 1 bookkeeping: expand or re-home the group's set. */
-    void applyDecisiveIdUpdate(GroupId group,
+    void applyDecisiveIdUpdate(GroupSlot &owner,
                                const std::vector<logging::IdToken> &view);
 
     /**
-     * Identifier-set entry with the given contents, reusing an
-     * existing identical entry (the paper's I is a *set* of sets:
+     * Slot of the identifier set with the given contents, reusing an
+     * existing identical set (the paper's I is a *set* of sets:
      * identical sets are one element, which is what lets the
      * equivalent-group heuristic collapse interchangeable groups).
      */
-    std::uint64_t
-    findOrCreateIdSet(const std::vector<logging::IdToken> &sorted_unique);
+    Slot findOrCreateIdSet(const std::vector<logging::IdToken> &sorted_unique);
 
     // --- routing-index maintenance ------------------------------------
 
-    /** Add a freshly created set to postings and the contents map. */
-    void indexAddSet(std::uint64_t set_id, const IdSetEntry &entry);
+    /** Add a freshly created set to postings and the contents index. */
+    void indexAddSet(Slot set);
 
-    /** Remove a retiring set from postings and the contents map. */
-    void indexRemoveSet(std::uint64_t set_id, const IdSetEntry &entry);
+    /** Remove a retiring set from postings and the contents index. */
+    void indexRemoveSet(Slot set);
 
-    /** Record `set_id` under `contents` in the contents map. */
-    void contentsAdd(std::uint64_t set_id,
-                     const std::vector<logging::IdToken> &contents);
+    /** Re-key a set in the contents index after its tokens changed. */
+    void contentsRekey(Slot set);
 
-    /** Drop `set_id` from under `contents` in the contents map. */
-    void contentsRemove(std::uint64_t set_id,
-                        const std::vector<logging::IdToken> &contents);
-
-    /** Give a brand-new group (already in `groups`) its identifier
-     *  set. */
-    void registerGroup(GroupId gid,
+    /** Give a brand-new group (already inserted) its identifier set. */
+    void registerGroup(GroupSlot &entry,
                        const std::vector<logging::IdToken> &initial_ids);
 
-    /** Remove one group and its relation entries. */
+    /** Retire a set no group belongs to any more. */
+    void eraseSet(Slot set);
+
+    /** Remove one group, and its set when no other group shares it. */
     void eraseGroup(GroupId group);
+
+    /** eraseGroup for the live group in `slot`. */
+    void eraseGroupAt(Slot slot);
 
     /** Collect the group and all its (live) descendants. */
     void collectDescendants(GroupId group,
@@ -473,7 +516,11 @@ class InterleavedChecker
 
     /** True when a lineage-linked group consumed within the window. */
     bool lineageCovered(const AutomatonGroup &group, common::SimTime now,
-                        double timeout) const;
+                        double timeout);
+
+    /** Fill shedScratch with the live groups in eviction order: zombies
+     *  first, then least recently active, ties to the older id. */
+    void orderForShedding();
 
     /** Largest timeout handed out so far (zombie-expiry horizon). */
     double maxResolvedTimeout = 0.0;
@@ -506,8 +553,8 @@ class InterleavedChecker
     void traceEnd(const AutomatonGroup &group, common::SimTime time,
                   obs::SpanEnd reason) const;
 
-    /** Build a report for a group. */
-    CheckEvent makeEvent(CheckEventKind kind, const AutomatonGroup &group,
+    /** Build a report for a live group. */
+    CheckEvent makeEvent(CheckEventKind kind, const GroupSlot &entry,
                          common::SimTime time) const;
 
     /** Handle acceptance on a set of touched groups. */
@@ -550,6 +597,7 @@ class InterleavedChecker
         std::string_view signature;
         std::size_t position = 0;
         GroupId gid = 0;
+        bool zombie = false;
     };
     std::vector<ClassMember> memberScratch;
     /** candidateGroups: (first member position, run start) per class. */
@@ -559,6 +607,10 @@ class InterleavedChecker
 
     /** pruneLineageOnAccept's removal set. */
     std::vector<GroupId> removalScratch;
+    /** lineageCovered: the swept group's live descendants. */
+    std::vector<GroupId> descendantScratch;
+    /** shedToCap / shedToMemory: the eviction order. */
+    std::vector<Ordered> shedScratch;
     /** applyDecisiveIdUpdate: tokens new to the expanded set. */
     std::vector<logging::IdToken> addedScratch;
     /** Contents of a set being created: a shared set's expanded copy

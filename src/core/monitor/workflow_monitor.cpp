@@ -100,9 +100,7 @@ WorkflowMonitor::WorkflowMonitor(
     }
 
     // seer-prove (DESIGN.md §15): the interference analysis runs at
-    // every load — its SL02x findings belong in the load report — and
-    // its certificate arms the checker's provably equivalent fast
-    // path unless the deployment opts out.
+    // every load, because its SL02x findings belong in the load report.
     analysis::InterferenceOptions prove;
     prove.maxForkFanout = config.checker.maxForkFanout;
     prove.numbersAsIdentifiers = config.numbersAsIdentifiers;
@@ -110,10 +108,6 @@ WorkflowMonitor::WorkflowMonitor(
         analysis::analyzeInterference(specs, *catalogPtr, prove);
     loadReport.merge(std::move(interference.report));
     loadReport.sortStable();
-    if (config.proveFastPath) {
-        checker.setCertifiedTemplates(
-            interference.certificate.certifiedBits(catalogPtr->size()));
-    }
 
     if (config.verifyModelOnLoad && loadReport.hasErrors()) {
         std::string msg = "seer-lint rejected the model bundle:";

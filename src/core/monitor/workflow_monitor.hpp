@@ -207,13 +207,12 @@ struct MonitorConfig
     bool verifyModelOnLoad = true;
 
     /**
-     * Run the seer-prove interference analysis at construction and arm
-     * the checker's certified-unambiguous fast path (DESIGN.md §15).
-     * The analysis findings (SL020-SL023) are merged into loadLint()
-     * either way; only the fast-path dispatch is gated by this flag.
-     * Reports are bit-identical with the flag on or off — the
-     * certificate selects where provably equivalent shortcuts apply,
-     * it never changes what Algorithm 2 decides.
+     * Read by nothing. It armed the former certified fast path
+     * (DESIGN.md §15), whose shortcuts the checker now takes for every
+     * message. It stays only because perfbench prints it into its META
+     * config; it goes once perfbench stops printing it.
+     * The seer-prove analysis runs at every construction and its
+     * findings (SL020-SL023) go into loadLint() regardless.
      */
     bool proveFastPath = true;
 

@@ -6,6 +6,8 @@
  */
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -614,4 +616,140 @@ TEST_F(AmbiguityTest, SuppressionCanBeDisabled)
     EXPECT_GT(events.size(), 0u)
         << "without suppression the stale parents are reported";
     EXPECT_EQ(noisy.stats().timeoutsSuppressed, 0u);
+}
+
+// --- dense slot state (DESIGN.md §19) ----------------------------------
+
+namespace {
+
+/** An execution that never finishes: `length` occurrences of "L" in a
+ *  chain, far more than the stream below emits. */
+TaskAutomaton
+immortalAutomaton(LetterCatalog &letters, int length)
+{
+    std::vector<EventNode> events;
+    std::vector<DependencyEdge> edges;
+    for (int i = 0; i < length; ++i) {
+        events.push_back({letters.id("L"), i});
+        if (i > 0)
+            edges.push_back({i - 1, i, false});
+    }
+    return TaskAutomaton("immortal", std::move(events), std::move(edges));
+}
+
+/** Every slot count and table capacity in a footprint, as one list. */
+std::vector<std::size_t>
+footprintFields(const InterleavedChecker::SlotFootprint &f)
+{
+    return {f.groupSlots,           f.idSetSlots,
+            f.postingSlots,         f.spareSlots,
+            f.groupIndexCapacity,   f.idSetIndexCapacity,
+            f.postingIndexCapacity, f.contentsIndexCapacity};
+}
+
+} // namespace
+
+TEST(DenseSlots, ImmortalExecutionDoesNotPinState)
+{
+    // One execution stays live for the whole stream, emitting a
+    // message on every step, while 3,000 short tasks start, expand
+    // their identifier sets and finish around it, three at a time.
+    // Group ids, set ids and tokens grow with the stream; the slots
+    // and tables behind them must follow the handful of live groups,
+    // not the distance between the oldest live id and the newest.
+    LetterCatalog letters;
+    TaskAutomaton immortal = immortalAutomaton(letters, 20000);
+    TaskAutomaton task = makeLetterAutomaton(letters, "task", {"A", "B", "C"},
+                                             {{"A", "B"}, {"B", "C"}});
+    InterleavedChecker checker(CheckerConfig{}, {&immortal, &task});
+
+    constexpr int kTasks = 3000;
+    logging::RecordId record = 1;
+    double clock = 0.0;
+    auto feed = [&](const std::string &letter,
+                    const std::vector<std::string> &ids) {
+        clock += 0.01;
+        for (CheckEvent &event :
+             checker.feed(makeMessage(letters, letter, ids, record++,
+                                      clock))) {
+            EXPECT_EQ(event.kind, CheckEventKind::Accepted);
+        }
+    };
+
+    std::vector<std::size_t> warm;
+    std::vector<std::size_t> steady;
+    for (int i = 0; i < kTasks + 2; ++i) {
+        const std::string tag = std::to_string(i);
+        feed("L", {"immortal"});
+        if (i < kTasks)
+            feed("A", {"s" + tag});
+        if (i >= 1 && i - 1 < kTasks) // widens the set: a re-key
+            feed("B", {"s" + std::to_string(i - 1),
+                       "r" + std::to_string(i - 1)});
+        if (i >= 2)
+            feed("C", {"s" + std::to_string(i - 2)});
+        EXPECT_TRUE(checker.sweepTimeouts(clock, 10.0).empty());
+        EXPECT_LE(checker.activeGroups(), 3u);
+        EXPECT_TRUE(checker.indexConsistent()) << "step " << i;
+        if (i == 100)
+            warm = footprintFields(checker.slotFootprint());
+        if (i == kTasks - 1)
+            steady = footprintFields(checker.slotFootprint());
+    }
+
+    EXPECT_EQ(checker.stats().accepted, static_cast<std::uint64_t>(kTasks));
+    EXPECT_EQ(checker.stats().timeoutsReported, 0u);
+    ASSERT_EQ(checker.activeGroups(), 1u) << "the immortal execution";
+    EXPECT_EQ(checker.activeIdentifierSets(), 1u);
+    EXPECT_EQ(checker.postingTokens(), 1u);
+
+    // Nothing grew between the hundredth task and the last, and nothing
+    // is sized by the 3,000 group ids or 6,000 tokens the stream went
+    // through.
+    EXPECT_EQ(steady, warm);
+    for (std::size_t field : footprintFields(checker.slotFootprint()))
+        EXPECT_LE(field, 32u);
+}
+
+TEST(DenseSlots, DrainedBurstGivesBackSparesAndTables)
+{
+    // 600 tasks live at once, then all finish: the slots made for the
+    // burst stay, but only kSpareSlotFloor free slots per pool keep
+    // their buffers, and every flat table shrinks back to its floor.
+    LetterCatalog letters;
+    TaskAutomaton task = makeLetterAutomaton(letters, "task", {"A", "B"},
+                                             {{"A", "B"}});
+    InterleavedChecker checker(CheckerConfig{}, {&task});
+    constexpr int kBurst = 600;
+    logging::RecordId record = 1;
+    double clock = 0.0;
+    for (const char *letter : {"A", "B"}) {
+        for (int i = 0; i < kBurst; ++i) {
+            clock += 0.001;
+            checker.feed(makeMessage(letters, letter,
+                                     {"b" + std::to_string(i)}, record++,
+                                     clock));
+        }
+        if (letter[0] == 'A') {
+            const InterleavedChecker::SlotFootprint full =
+                checker.slotFootprint();
+            EXPECT_EQ(checker.activeGroups(), static_cast<std::size_t>(kBurst));
+            EXPECT_GE(full.groupIndexCapacity, static_cast<std::size_t>(kBurst));
+            EXPECT_GE(full.postingIndexCapacity,
+                      static_cast<std::size_t>(kBurst));
+        }
+    }
+    EXPECT_EQ(checker.stats().accepted, static_cast<std::uint64_t>(kBurst));
+    EXPECT_EQ(checker.activeGroups(), 0u);
+    EXPECT_EQ(checker.activeIdentifierSets(), 0u);
+    EXPECT_EQ(checker.postingTokens(), 0u);
+
+    const InterleavedChecker::SlotFootprint drained = checker.slotFootprint();
+    EXPECT_EQ(drained.groupSlots, static_cast<std::size_t>(kBurst));
+    EXPECT_LE(drained.spareSlots, 3 * kSpareSlotFloor)
+        << "group, set and posting pools each keep at most the floor";
+    for (std::size_t capacity :
+         {drained.groupIndexCapacity, drained.idSetIndexCapacity,
+          drained.postingIndexCapacity, drained.contentsIndexCapacity})
+        EXPECT_LE(capacity, 64u);
 }
