@@ -28,18 +28,6 @@ contentsKeyOf(const std::vector<IdToken> &tokens)
     return hash;
 }
 
-/** Remove `id` from a vector of entries kept in ascending id. */
-template <typename Order>
-void
-eraseOrdered(Order &order, std::uint64_t id)
-{
-    auto it = std::lower_bound(
-        order.begin(), order.end(), id,
-        [](const auto &entry, std::uint64_t key) { return entry.id < key; });
-    CS_ASSERT(it != order.end() && it->id == id, "id missing from its order");
-    order.erase(it);
-}
-
 } // namespace
 
 InterleavedChecker::InterleavedChecker(
@@ -260,28 +248,21 @@ InterleavedChecker::selectIdSetsIndexed(const std::vector<IdToken> &view,
     }
 
     int best = 0;
-    std::size_t at_best = 0;
     for (const auto &[set_id, ov] : candidates) {
         if (max_overlap_exclusive >= 0 && ov >= max_overlap_exclusive)
             continue;
-        if (ov > best) {
-            best = ov;
-            at_best = 0;
-        }
-        at_best += ov == best;
+        best = std::max(best, ov);
     }
     if (overlap_out != nullptr)
         *overlap_out = best;
     if (best == 0)
         return;
 
-    // A lone set at the best overlap wins the tie-break unopposed.
-    const bool compare = tie_break && at_best > 1;
     int least_diff = -1;
     for (const auto &[set_id, ov] : candidates) {
         if (ov != best)
             continue;
-        if (!compare) {
+        if (!tie_break) {
             selected.push_back(set_id);
             continue;
         }
@@ -419,11 +400,9 @@ InterleavedChecker::addPosting(IdToken token, std::uint64_t set_id)
 InterleavedChecker::GroupSlot &
 InterleavedChecker::insertGroup(GroupId gid)
 {
-    CS_ASSERT(groupOrder.empty() || groupOrder.back().id < gid,
-              "group ids must ascend");
+    CS_ASSERT(groupOrder.lastId() < gid, "group ids must ascend");
     const Slot slot = groupSlots.acquire();
-    groupIndex.insert(gid, slot);
-    groupOrder.push_back({gid, slot});
+    groupOrder.insert(gid, slot);
     GroupSlot &entry = groupSlots[slot];
     entry.set = kNoSlot;
     return entry;
@@ -489,15 +468,13 @@ InterleavedChecker::findOrCreateIdSet(
         }
     }
     const std::uint64_t set_id = nextIdSetId++;
-    CS_ASSERT(setOrder.empty() || setOrder.back().id < set_id,
-              "identifier-set id collision");
+    CS_ASSERT(setOrder.lastId() < set_id, "identifier-set id collision");
     const Slot slot = setSlots.acquire();
     IdSetSlot &entry = setSlots[slot];
     entry.id = set_id;
     entry.ids.assign(sorted_unique);
     entry.groupIds.clear();
-    setIndex.insert(set_id, slot);
-    setOrder.push_back({set_id, slot});
+    setOrder.insert(set_id, slot);
     indexAddSet(slot);
     return slot;
 }
@@ -507,8 +484,7 @@ InterleavedChecker::eraseSet(Slot set)
 {
     const std::uint64_t set_id = setSlots[set].id;
     indexRemoveSet(set);
-    setIndex.erase(set_id, set);
-    eraseOrdered(setOrder, set_id);
+    setOrder.erase(set_id);
     setSlots.release(set);
 }
 
@@ -574,7 +550,7 @@ InterleavedChecker::applyDecisiveIdUpdate(
 void
 InterleavedChecker::eraseGroup(GroupId group)
 {
-    const Slot slot = groupIndex.find(group);
+    const Slot slot = groupOrder.find(group);
     if (slot != kNoSlot)
         eraseGroupAt(slot);
 }
@@ -595,8 +571,7 @@ InterleavedChecker::eraseGroupAt(Slot slot)
         if (members.empty())
             eraseSet(entry.set);
     }
-    groupIndex.erase(group, slot);
-    eraseOrdered(groupOrder, group);
+    groupOrder.erase(group);
     groupSlots.release(slot);
 }
 
@@ -622,7 +597,7 @@ InterleavedChecker::pruneLineageOnAccept(GroupId winner)
     // exactly itself: addRivalsOf is a no-op on rivalSet() == 0, the
     // ancestor walk never starts, and there are no descendants. Skip
     // the removal-set construction.
-    const Slot won_slot = groupIndex.find(winner);
+    const Slot won_slot = groupOrder.find(winner);
     CS_ASSERT(won_slot != kNoSlot, "unknown group id");
     const AutomatonGroup &won = groupSlots[won_slot].group;
     if (won.rivalSet() == 0 && won.parent() == 0 &&
@@ -1124,12 +1099,18 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
 {
     std::vector<CheckEvent> events;
     traceNow = now;
-    // Walk the live order directly: the loop erases at most the group
-    // it stands on (the next one then moves into its place) and creates
-    // none, so it visits exactly the groups that were live when the
-    // sweep began, in id order.
-    for (std::size_t i = 0; i < groupOrder.size();) {
-        const Slot slot = groupOrder[i].slot;
+    // Walk the live order by position: the loop erases at most the
+    // group it stands on and creates none, so it visits exactly the
+    // groups that were live when the sweep began, in id order. An
+    // erase may compact the order, so the walk resumes after the
+    // erased id.
+    for (std::size_t position = 0; position < groupOrder.span();) {
+        const Ordered at = groupOrder.at(position);
+        if (at.slot == kNoSlot) {
+            ++position;
+            continue;
+        }
+        const Slot slot = at.slot;
         GroupSlot &entry = groupSlots[slot];
         AutomatonGroup &group = entry.group;
         double timeout = resolver(group.candidateTaskNames());
@@ -1154,10 +1135,12 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
                     erase = true;
             }
         }
-        if (erase)
+        if (erase) {
             eraseGroupAt(slot);
-        else
-            ++i;
+            position = groupOrder.positionAfter(at.id);
+        } else {
+            ++position;
+        }
     }
     return events;
 }
@@ -1165,7 +1148,9 @@ InterleavedChecker::sweepTimeouts(common::SimTime now,
 void
 InterleavedChecker::orderForShedding()
 {
-    shedScratch.assign(groupOrder.begin(), groupOrder.end());
+    shedScratch.clear();
+    for (const Ordered &entry : groupOrder)
+        shedScratch.push_back(entry);
     std::sort(shedScratch.begin(), shedScratch.end(),
               [this](const Ordered &a, const Ordered &b) {
                   const AutomatonGroup &ga = groupSlots[a.slot].group;
@@ -1226,7 +1211,7 @@ InterleavedChecker::finish(common::SimTime now)
     }
     // A set only outlives its last group in a restored image.
     while (!setOrder.empty())
-        eraseSet(setOrder.back().slot);
+        eraseSet(setOrder.find(setOrder.lastId()));
     return events;
 }
 
@@ -1246,8 +1231,10 @@ InterleavedChecker::slotFootprint() const
     footprint.postingSlots = postingLists.slots();
     footprint.spareSlots =
         groupSlots.spares() + setSlots.spares() + postingLists.spares();
-    footprint.groupIndexCapacity = groupIndex.capacity();
-    footprint.idSetIndexCapacity = setIndex.capacity();
+    footprint.groupOrderCapacity = groupOrder.capacity();
+    footprint.idSetOrderCapacity = setOrder.capacity();
+    footprint.groupIndexCapacity = groupOrder.indexCapacity();
+    footprint.idSetIndexCapacity = setOrder.indexCapacity();
     footprint.postingIndexCapacity = postingIndex.capacity();
     footprint.contentsIndexCapacity = contentsIndex.capacity();
     return footprint;
@@ -1260,7 +1247,7 @@ InterleavedChecker::indexConsistent() const
     std::size_t expected_postings = 0;
     for (const Ordered &set : setOrder) {
         const IdSetSlot &entry = setSlots[set.slot];
-        if (entry.id != set.id || setIndex.find(set.id) != set.slot)
+        if (entry.id != set.id || setOrder.find(set.id) != set.slot)
             return false;
         std::size_t keyed = 0;
         contentsIndex.forEach(entry.contentsKey,
@@ -1282,7 +1269,7 @@ InterleavedChecker::indexConsistent() const
                 return false;
         }
     }
-    if (setIndex.size() != setOrder.size() ||
+    if (setSlots.live() != setOrder.size() ||
         contentsIndex.size() != setOrder.size())
         return false;
     // No posting points at a dead set or at one without its token.
@@ -1305,13 +1292,13 @@ InterleavedChecker::indexConsistent() const
     for (const Ordered &group : groupOrder) {
         const GroupSlot &entry = groupSlots[group.slot];
         if (entry.group.id() != group.id ||
-            groupIndex.find(group.id) != group.slot || entry.set == kNoSlot)
+            groupOrder.find(group.id) != group.slot || entry.set == kNoSlot)
             return false;
         const std::vector<GroupId> &members = setSlots[entry.set].groupIds;
         if (std::count(members.begin(), members.end(), group.id) != 1)
             return false;
     }
-    return groupIndex.size() == groupOrder.size();
+    return groupSlots.live() == groupOrder.size();
 }
 
 std::uint64_t
@@ -1466,10 +1453,8 @@ void
 InterleavedChecker::clearState()
 {
     groupSlots.clear();
-    groupIndex.clear();
     groupOrder.clear();
     setSlots.clear();
-    setIndex.clear();
     setOrder.clear();
     postingLists.clear();
     postingIndex.clear();
@@ -1500,27 +1485,25 @@ InterleavedChecker::restoreState(common::BinReader &in)
     counters.consumeAttempts = in.readU64();
 
     // Images list groups and sets in id order, but a damaged one need
-    // not: each order vector is sorted once its section is read.
-    auto by_id = [](const Ordered &a, const Ordered &b) {
-        return a.id < b.id;
-    };
-
+    // not: each order is sorted, and checked for repeated ids, once its
+    // section is read.
     std::uint64_t group_count = in.readU64();
     if (!in.ok())
         return false;
     for (std::uint64_t i = 0; i < group_count; ++i) {
         const Slot slot = groupSlots.acquire();
         AutomatonGroup &group = groupSlots[slot].group;
-        if (!group.restoreState(in, automatonSet) ||
-            groupIndex.find(group.id()) != kNoSlot) {
+        if (!group.restoreState(in, automatonSet)) {
             groupSlots.release(slot);
             in.fail();
             return false;
         }
-        groupIndex.insert(group.id(), slot);
-        groupOrder.push_back({group.id(), slot});
+        groupOrder.appendUnsorted(group.id(), slot);
     }
-    std::sort(groupOrder.begin(), groupOrder.end(), by_id);
+    if (!groupOrder.sort()) {
+        in.fail();
+        return false;
+    }
 
     std::uint64_t removal_tasks = in.readU64();
     if (!in.ok())
@@ -1551,7 +1534,7 @@ InterleavedChecker::restoreState(common::BinReader &in)
         std::uint64_t set_id = in.readU64();
         std::vector<IdToken> tokens = in.readU32Vector();
         std::vector<std::uint64_t> members = in.readU64Vector();
-        if (!in.ok() || setIndex.find(set_id) != kNoSlot) {
+        if (!in.ok()) {
             in.fail();
             return false;
         }
@@ -1560,15 +1543,17 @@ InterleavedChecker::restoreState(common::BinReader &in)
         entry.id = set_id;
         entry.ids = IdentifierSet(tokens);
         entry.groupIds = std::move(members);
-        setIndex.insert(set_id, slot);
-        setOrder.push_back({set_id, slot});
+        setOrder.appendUnsorted(set_id, slot);
         // Rebuild the derived routing index. Posting lists fill in
         // image order, which may differ from the incremental insertion
         // order of the live run — selection sorts candidates by set
         // id, so the difference is unobservable.
         indexAddSet(slot);
     }
-    std::sort(setOrder.begin(), setOrder.end(), by_id);
+    if (!setOrder.sort()) {
+        in.fail();
+        return false;
+    }
 
     std::uint64_t relation_count = in.readU64();
     if (!in.ok())
@@ -1577,7 +1562,7 @@ InterleavedChecker::restoreState(common::BinReader &in)
         GroupId gid = in.readU64();
         std::uint64_t set_id = in.readU64();
         GroupSlot *entry = in.ok() ? findGroup(gid) : nullptr;
-        const Slot set = setIndex.find(set_id);
+        const Slot set = setOrder.find(set_id);
         if (entry == nullptr || entry->set != kNoSlot || set == kNoSlot) {
             in.fail();
             return false;
@@ -1613,9 +1598,9 @@ InterleavedChecker::restoredStateConsistent() const
         return false;
     // …and the next ids are fresh, so a new group or set never takes
     // the key of a live one.
-    if (!groupOrder.empty() && groupOrder.back().id >= nextGroupId)
+    if (!groupOrder.empty() && groupOrder.lastId() >= nextGroupId)
         return false;
-    if (!setOrder.empty() && setOrder.back().id >= nextIdSetId)
+    if (!setOrder.empty() && setOrder.lastId() >= nextIdSetId)
         return false;
     for (const Ordered &group : groupOrder) {
         if (groupSlots[group.slot].group.rivalSet() >= nextRivalSet)

@@ -230,17 +230,19 @@ class InterleavedChecker
     std::size_t postingTokens() const { return postingIndex.size(); }
 
     /**
-     * Sizes of the slot pools and flat tables behind the live state.
-     * Slot counts are bounded by the peak of live entries and table
-     * capacities by the live entry count; a long run whose live work
-     * stays small keeps them small. Test surface; not checker state.
+     * Sizes of the slot pools and tables behind the live state. All
+     * follow the live entry count (DESIGN.md §19), not the peak or the
+     * ids handed out; a long run whose live work stays small keeps them
+     * small. Test surface; not checker state.
      */
     struct SlotFootprint
     {
-        std::size_t groupSlots = 0;      ///< group slots ever made
-        std::size_t idSetSlots = 0;      ///< identifier-set slots ever made
-        std::size_t postingSlots = 0;    ///< posting-list slots ever made
-        std::size_t spareSlots = 0;      ///< free slots still holding buffers
+        std::size_t groupSlots = 0;   ///< group slots in allocated chunks
+        std::size_t idSetSlots = 0;   ///< set slots in allocated chunks
+        std::size_t postingSlots = 0; ///< posting slots in allocated chunks
+        std::size_t spareSlots = 0;   ///< free slots in allocated chunks
+        std::size_t groupOrderCapacity = 0;    ///< live-order entries
+        std::size_t idSetOrderCapacity = 0;    ///< live-order entries
         std::size_t groupIndexCapacity = 0;    ///< id -> slot entries
         std::size_t idSetIndexCapacity = 0;    ///< id -> slot entries
         std::size_t postingIndexCapacity = 0;  ///< token -> slot entries
@@ -324,11 +326,7 @@ class InterleavedChecker
     };
 
     /** Id and slot of a live group or set, for walks in id order. */
-    struct Ordered
-    {
-        std::uint64_t id = 0;
-        Slot slot = kNoSlot;
-    };
+    using Ordered = LiveOrder::Entry;
 
     CheckerConfig config;
     std::vector<const TaskAutomaton *> automatonSet;
@@ -366,17 +364,16 @@ class InterleavedChecker
     // Groups, identifier sets and posting lists live in slot pools; a
     // retired slot keeps its buffers for the next occupant, within the
     // pool's trim bound. Group and set ids are handed out in ascending
-    // order, so a new one always goes at the back of its order vector;
-    // every walk that fixes output order (the sweep, finish, shed ties,
-    // rival lookups, checkpoints, the scan path) goes through those.
+    // order, so a new one always goes at the back of its LiveOrder,
+    // which finds a slot by id and fixes the order of every walk that
+    // reaches output (the sweep, finish, shed ties, rival lookups,
+    // checkpoints, the scan path).
 
     SlotPool<GroupSlot> groupSlots;
-    SlotIndex groupIndex;            ///< group id -> slot
-    std::vector<Ordered> groupOrder; ///< live groups, ascending id
+    LiveOrder groupOrder; ///< live groups: id -> slot, ascending id
 
     SlotPool<IdSetSlot> setSlots;
-    SlotIndex setIndex;            ///< set id -> slot
-    std::vector<Ordered> setOrder; ///< live sets, ascending id
+    LiveOrder setOrder; ///< live sets: id -> slot, ascending id
 
     RemovalCounts removalCounts;
 
@@ -402,13 +399,13 @@ class InterleavedChecker
     GroupSlot *
     findGroup(GroupId gid)
     {
-        const Slot slot = groupIndex.find(gid);
+        const Slot slot = groupOrder.find(gid);
         return slot == kNoSlot ? nullptr : &groupSlots[slot];
     }
     const GroupSlot *
     findGroup(GroupId gid) const
     {
-        const Slot slot = groupIndex.find(gid);
+        const Slot slot = groupOrder.find(gid);
         return slot == kNoSlot ? nullptr : &groupSlots[slot];
     }
 
@@ -420,7 +417,7 @@ class InterleavedChecker
     const IdSetSlot *
     findSet(std::uint64_t set_id) const
     {
-        const Slot slot = setIndex.find(set_id);
+        const Slot slot = setOrder.find(set_id);
         return slot == kNoSlot ? nullptr : &setSlots[slot];
     }
 

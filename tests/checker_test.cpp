@@ -643,6 +643,7 @@ footprintFields(const InterleavedChecker::SlotFootprint &f)
 {
     return {f.groupSlots,           f.idSetSlots,
             f.postingSlots,         f.spareSlots,
+            f.groupOrderCapacity,   f.idSetOrderCapacity,
             f.groupIndexCapacity,   f.idSetIndexCapacity,
             f.postingIndexCapacity, f.contentsIndexCapacity};
 }
@@ -711,11 +712,11 @@ TEST(DenseSlots, ImmortalExecutionDoesNotPinState)
         EXPECT_LE(field, 32u);
 }
 
-TEST(DenseSlots, DrainedBurstGivesBackSparesAndTables)
+TEST(DenseSlots, DrainedBurstGivesBackSlotsAndTables)
 {
-    // 600 tasks live at once, then all finish: the slots made for the
-    // burst stay, but only kSpareSlotFloor free slots per pool keep
-    // their buffers, and every flat table shrinks back to its floor.
+    // 600 tasks live at once, then all finish: each pool frees the
+    // chunks the burst needed down to kSpareSlotFloor free slots, and
+    // every table shrinks back to its floor.
     LetterCatalog letters;
     TaskAutomaton task = makeLetterAutomaton(letters, "task", {"A", "B"},
                                              {{"A", "B"}});
@@ -734,7 +735,8 @@ TEST(DenseSlots, DrainedBurstGivesBackSparesAndTables)
             const InterleavedChecker::SlotFootprint full =
                 checker.slotFootprint();
             EXPECT_EQ(checker.activeGroups(), static_cast<std::size_t>(kBurst));
-            EXPECT_GE(full.groupIndexCapacity, static_cast<std::size_t>(kBurst));
+            EXPECT_GE(full.groupSlots, static_cast<std::size_t>(kBurst));
+            EXPECT_GE(full.groupOrderCapacity, static_cast<std::size_t>(kBurst));
             EXPECT_GE(full.postingIndexCapacity,
                       static_cast<std::size_t>(kBurst));
         }
@@ -743,13 +745,87 @@ TEST(DenseSlots, DrainedBurstGivesBackSparesAndTables)
     EXPECT_EQ(checker.activeGroups(), 0u);
     EXPECT_EQ(checker.activeIdentifierSets(), 0u);
     EXPECT_EQ(checker.postingTokens(), 0u);
+    EXPECT_TRUE(checker.indexConsistent());
 
     const InterleavedChecker::SlotFootprint drained = checker.slotFootprint();
-    EXPECT_EQ(drained.groupSlots, static_cast<std::size_t>(kBurst));
-    EXPECT_LE(drained.spareSlots, 3 * kSpareSlotFloor)
-        << "group, set and posting pools each keep at most the floor";
+    for (std::size_t slots :
+         {drained.groupSlots, drained.idSetSlots, drained.postingSlots})
+        EXPECT_LE(slots, kSpareSlotFloor) << "no live entry is left";
+    EXPECT_LE(drained.spareSlots, 3 * kSpareSlotFloor);
     for (std::size_t capacity :
-         {drained.groupIndexCapacity, drained.idSetIndexCapacity,
+         {drained.groupOrderCapacity, drained.idSetOrderCapacity,
+          drained.groupIndexCapacity, drained.idSetIndexCapacity,
           drained.postingIndexCapacity, drained.contentsIndexCapacity})
         EXPECT_LE(capacity, 64u);
+}
+
+TEST(DenseSlots, SlotPoolFreesChunksItNoLongerNeeds)
+{
+    // Fill 1,000 slots, then keep one occupant in every 100th and free
+    // the rest: the chunks with no occupant go back (past the floor),
+    // references to the survivors stay valid, and the freed chunks are
+    // allocated again as the pool refills.
+    SlotPool<std::vector<int>> pool;
+    std::vector<Slot> slots;
+    for (int i = 0; i < 1000; ++i) {
+        slots.push_back(pool.acquire());
+        pool[slots.back()].assign(16, i);
+    }
+    EXPECT_EQ(pool.slots(), 1000u);
+    std::vector<const std::vector<int> *> kept;
+    for (int i = 0; i < 1000; ++i) {
+        if (i % 100 == 0)
+            kept.push_back(&pool[slots[i]]);
+        else
+            pool.release(slots[i]);
+    }
+    EXPECT_EQ(pool.live(), 10u);
+    EXPECT_LE(pool.slots(), kSlotChunk * pool.live() + kSpareSlotFloor);
+    for (std::size_t k = 0; k < kept.size(); ++k)
+        EXPECT_EQ(kept[k]->front(), static_cast<int>(100 * k));
+
+    std::vector<Slot> refill;
+    for (int i = 0; i < 990; ++i) {
+        refill.push_back(pool.acquire());
+        pool[refill.back()].assign(1, -i);
+    }
+    std::sort(refill.begin(), refill.end());
+    EXPECT_EQ(std::adjacent_find(refill.begin(), refill.end()), refill.end());
+    EXPECT_EQ(pool.live(), 1000u);
+    EXPECT_EQ(pool.slots(), 1000u) << "the lowest free slots are reused";
+    for (std::size_t k = 0; k < kept.size(); ++k)
+        EXPECT_EQ(kept[k]->front(), static_cast<int>(100 * k));
+    for (Slot slot : refill)
+        pool.release(slot);
+    EXPECT_LE(pool.slots(), kSlotChunk * pool.live() + kSpareSlotFloor);
+}
+
+TEST(DenseSlots, LiveOrderFindsAndWalksLiveIds)
+{
+    // Erasing most ids, oldest first, compacts the order as it goes:
+    // lookups and walks see exactly the live ids, and the storage
+    // follows the live count.
+    LiveOrder order;
+    for (std::uint64_t id = 1; id <= 1000; ++id)
+        order.insert(3 * id, static_cast<Slot>(id));
+    for (std::uint64_t id = 1; id <= 1000; ++id) {
+        if (id % 50 != 0)
+            order.erase(3 * id);
+    }
+    EXPECT_EQ(order.size(), 20u);
+    EXPECT_LE(order.capacity(), 64u);
+    EXPECT_LE(order.indexCapacity(), 8 * order.size());
+    std::uint64_t expected = 50;
+    for (const LiveOrder::Entry &entry : order) {
+        EXPECT_EQ(entry.id, 3 * expected);
+        EXPECT_EQ(entry.slot, static_cast<Slot>(expected));
+        expected += 50;
+    }
+    EXPECT_EQ(expected, 1050u);
+    EXPECT_EQ(order.find(150), static_cast<Slot>(50));
+    EXPECT_EQ(order.find(151), kNoSlot);
+    EXPECT_EQ(order.find(3), kNoSlot);
+    EXPECT_EQ(order.lastId(), 3000u);
+    order.erase(3000);
+    EXPECT_EQ(order.lastId(), 2850u) << "the last entry is always live";
 }
