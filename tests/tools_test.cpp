@@ -16,20 +16,29 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/diagnostics.hpp"
+#include "collect/stream_merger.hpp"
+#include "collect/stream_perturber.hpp"
 #include "core/mining/model_io.hpp"
+#include "core/monitor/report_json.hpp"
 #include "core/monitor/workflow_monitor.hpp"
+#include "eval/modeling_harness.hpp"
+#include "logging/identifier_interner.hpp"
 #include "obs/observability.hpp"
 #include "obs/profiler.hpp"
 #include "obs/pulse.hpp"
+#include "sim/simulation.hpp"
 #include "test_util.hpp"
 #include "vault/vault.hpp"
 #include "vault/vaulted_monitor.hpp"
+#include "workload/workload_generator.hpp"
 
 using namespace cloudseer;
 using namespace cloudseer::core;
@@ -204,6 +213,222 @@ TEST(PostmortemTool, IntactInputStillExitsZero)
 }
 
 // --- seer_stats -----------------------------------------------------
+
+namespace {
+
+/** FNV-1a over a byte string. */
+std::uint64_t
+fnv1a(std::string_view bytes)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (char c : bytes) {
+        hash ^= static_cast<std::uint8_t>(c);
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
+/** Every line of `text` that `keep` accepts, with `edit` applied. */
+template <typename Keep, typename Edit>
+std::string
+filterLines(const std::string &text, Keep keep, Edit edit)
+{
+    std::string out;
+    std::size_t start = 0;
+    while (start < text.size()) {
+        std::size_t end = text.find('\n', start);
+        if (end == std::string::npos)
+            end = text.size();
+        std::string line = text.substr(start, end - start);
+        if (keep(line)) {
+            edit(line);
+            out += line + "\n";
+        }
+        start = end + 1;
+    }
+    return out;
+}
+
+/**
+ * What a hardened monitor with metrics, tracing, snapshots and pulse
+ * leaves over group_state_test's perturbed wire stream (eight users,
+ * seed 3, transport adversity). Two kinds of value do not repeat from
+ * run to run and are normalised before anything is pinned:
+ *   - wall-clock figures (feed latency, uptime) become 0 or are
+ *     dropped;
+ *   - the process-wide interner's tallies become deltas from before
+ *     the run, so the pins hold for any subset and order of tests.
+ */
+struct HealthRun
+{
+    std::string snapshots;  ///< snapshotJsonLines()
+    std::string prometheus; ///< final prometheusText()
+    std::string summary;    ///< statsSummaryJson
+    std::string stream;     ///< snapshots, ALERT lines, then SUMMARY
+};
+
+HealthRun
+buildHealthRun()
+{
+    eval::ModelingConfig modeling;
+    modeling.minRuns = 40;
+    modeling.maxRuns = 150;
+    const eval::ModeledSystem models = eval::buildModels(modeling);
+
+    sim::Simulation simulation(sim::SimConfig{}, 3);
+    workload::WorkloadConfig traffic;
+    traffic.users = 8;
+    traffic.tasksPerUser = 24;
+    traffic.seed = 3;
+    workload::WorkloadGenerator(traffic).submitAll(simulation);
+    simulation.run();
+    collect::ShippingConfig shipping;
+    shipping.seed = 3;
+    collect::PerturbationConfig adversity;
+    adversity.dropProbability = 0.01;
+    adversity.duplicateProbability = 0.01;
+    adversity.clockSkewMaxSeconds = 0.05;
+    adversity.clockDriftMaxPerSecond = 0.0005;
+    adversity.truncateProbability = 0.002;
+    adversity.corruptProbability = 0.002;
+    adversity.burstProbability = 0.0002;
+    adversity.seed = 3;
+    const std::vector<std::string> lines =
+        collect::StreamPerturber(adversity)
+            .apply(collect::mergeStream(simulation.records(), shipping))
+            .lines;
+
+    MonitorConfig config;
+    config.ingest = hardenedIngestDefaults();
+    config.ingest.maxResidentBytes = 8 * 1024;
+    config.ingest.memoryCheckInterval = 16;
+    config.observability.metrics = true;
+    config.observability.tracing = true;
+    config.observability.snapshotIntervalSeconds = 5.0;
+    config.pulse.enabled = true;
+
+    const logging::InternerStats base =
+        logging::IdentifierInterner::process().stats();
+    WorkflowMonitor monitor(config, models.catalog, models.automataCopy());
+    std::string alerts;
+    double last = 0.0;
+    for (const std::string &line : lines) {
+        monitor.feedLine(line);
+        for (const std::string &alert : monitor.drainAlertJson())
+            alerts += alert + "\n";
+    }
+    monitor.finish();
+    for (const std::string &alert : monitor.drainAlertJson())
+        alerts += alert + "\n";
+    if (!monitor.observability()->snapshots().empty())
+        last = monitor.observability()->snapshots().back().time;
+
+    const logging::InternerStats now =
+        logging::IdentifierInterner::process().stats();
+    auto replaceObject = [](std::string &line, const std::string &name,
+                            const std::string &body) {
+        const std::string needle = "\"" + name + "\":{";
+        std::size_t at = line.find(needle);
+        if (at == std::string::npos)
+            return;
+        at += needle.size();
+        line.replace(at, line.find('}', at) - at, body);
+    };
+    auto keepAll = [](const std::string &) { return true; };
+
+    HealthRun out;
+    out.snapshots = filterLines(
+        monitor.observability()->snapshotJsonLines(), keepAll,
+        [&](std::string &line) {
+            replaceObject(line, "feedLatencyUs",
+                          "\"p50\":0,\"p90\":0,\"p99\":0,\"max\":0");
+            // Tallies at this snapshot, less those before the run.
+            const std::string needle = "\"interner\":{";
+            std::size_t at = line.find(needle);
+            unsigned long long size = 0, hits = 0, misses = 0;
+            if (at != std::string::npos &&
+                std::sscanf(line.c_str() + at + needle.size(),
+                            "\"size\":%llu,\"hits\":%llu,\"misses\":%llu",
+                            &size, &hits, &misses) == 3) {
+                replaceObject(
+                    line, "interner",
+                    "\"size\":" + std::to_string(size - base.size) +
+                        ",\"hits\":" + std::to_string(hits - base.hits) +
+                        ",\"misses\":" +
+                        std::to_string(misses - base.misses));
+            }
+        });
+    out.prometheus = filterLines(
+        monitor.prometheusText(),
+        [](const std::string &line) {
+            for (const char *clock : {"seer_feed_latency_us",
+                                      "seer_uptime_seconds",
+                                      "seer_interner_hit_rate"}) {
+                if (line.rfind(clock, 0) == 0)
+                    return false;
+            }
+            return true;
+        },
+        [&](std::string &line) {
+            const std::string size = "seer_interner_size ";
+            if (line.rfind(size, 0) == 0)
+                line = size + std::to_string(now.size - base.size);
+        });
+    out.summary =
+        statsSummaryJson(monitor.stats(), monitor.ingestStats(), last);
+    out.stream = out.snapshots + alerts + out.summary + "\n";
+    return out;
+}
+
+const HealthRun &
+healthRun()
+{
+    static const HealthRun built = buildHealthRun();
+    return built;
+}
+
+/** `command` exits 0 and prints (stdout and stderr) what `expected`
+ *  is the FNV-1a digest of. */
+void
+expectOutputDigest(const std::string &command, std::uint64_t expected)
+{
+    RunResult result = run(command);
+    EXPECT_EQ(result.status, 0) << result.output;
+    EXPECT_EQ(fnv1a(result.output), expected)
+        << command << "\n" << result.output;
+}
+
+} // namespace
+
+TEST(HealthPins, MonitorRenderingsOverThePerturbedWireStream)
+{
+    const HealthRun &health = healthRun();
+    ASSERT_NE(health.snapshots.find("\"kind\":\"HEALTH\""),
+              std::string::npos);
+    std::printf("snapshots 0x%016llxULL prometheus 0x%016llxULL "
+                "summary 0x%016llxULL\n",
+                static_cast<unsigned long long>(fnv1a(health.snapshots)),
+                static_cast<unsigned long long>(fnv1a(health.prometheus)),
+                static_cast<unsigned long long>(fnv1a(health.summary)));
+    EXPECT_EQ(fnv1a(health.snapshots), 0x52925cd044517934ULL);
+    EXPECT_EQ(fnv1a(health.prometheus), 0xc591deb7aa1fa55fULL);
+    EXPECT_EQ(fnv1a(health.summary), 0xd6324ee84f4dedd7ULL);
+}
+
+TEST(HealthPins, CliReadersOverThePerturbedWireStream)
+{
+    ToolDir dir("health_pins");
+    const std::string path = dir.file("stream.jsonl");
+    std::ofstream(path) << healthRun().stream;
+
+    const std::string stats = SEER_STATS_BIN;
+    expectOutputDigest(stats + " " + path, 0x10cb6022d6ad5edaULL);
+    expectOutputDigest(stats + " --last " + path, 0x2f5afbb2a055719bULL);
+    expectOutputDigest(stats + " --summary " + path,
+                       0x06c788b17ba9a05eULL);
+    expectOutputDigest(std::string(SEER_PULSE_BIN) + " replay " + path,
+                       0x92209ca03ab7ca76ULL);
+}
 
 // --- seer_vault -----------------------------------------------------
 
