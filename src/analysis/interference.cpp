@@ -1,7 +1,6 @@
 #include "analysis/interference.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <set>
@@ -9,6 +8,7 @@
 #include <unordered_set>
 
 #include "analysis/model_lint.hpp"
+#include "common/string_util.hpp"
 #include "logging/variable_extractor.hpp"
 
 namespace cloudseer::analysis {
@@ -17,33 +17,6 @@ namespace {
 
 using core::TaskAutomaton;
 using logging::TemplateId;
-
-/** Minimal JSON string escaping (template text can carry anything). */
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size() + 2);
-    for (char c : raw) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
 
 void
 add(LintReport &report, const char *id, Severity severity,
@@ -597,7 +570,7 @@ proveReportJson(const LintReport &report,
     for (std::size_t i = 0; i < certificate.verdicts.size(); ++i) {
         const SignatureVerdict &verdict = certificate.verdicts[i];
         out << "      {\"template\": " << verdict.tpl << ", \"label\": \""
-            << jsonEscape(catalog.label(verdict.tpl))
+            << common::JsonEscaped{catalog.label(verdict.tpl)}
             << "\", \"verdict\": \"" << verdictName(verdict.kind)
             << "\", \"automata\": " << verdict.automata
             << ", \"sites\": " << verdict.sites << "}"
@@ -608,8 +581,9 @@ proveReportJson(const LintReport &report,
         const Diagnostic &diagnostic = report.diagnostics[i];
         out << "    {\"id\": \"" << diagnostic.id << "\", \"severity\": \""
             << severityName(diagnostic.severity) << "\", \"automaton\": \""
-            << jsonEscape(diagnostic.automaton) << "\", \"message\": \""
-            << jsonEscape(diagnostic.message) << "\"";
+            << common::JsonEscaped{diagnostic.automaton}
+            << "\", \"message\": \""
+            << common::JsonEscaped{diagnostic.message} << "\"";
         if (diagnostic.eventA >= 0)
             out << ", \"event\": " << diagnostic.eventA;
         if (diagnostic.eventB >= 0)
@@ -618,8 +592,8 @@ proveReportJson(const LintReport &report,
             out << ", \"metrics\": {";
             bool first = true;
             for (const auto &[key, value] : diagnostic.metrics) {
-                out << (first ? "" : ", ") << "\"" << jsonEscape(key)
-                    << "\": " << value;
+                out << (first ? "" : ", ") << "\""
+                    << common::JsonEscaped{key} << "\": " << value;
                 first = false;
             }
             out << "}";

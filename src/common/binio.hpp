@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace cloudseer::common {
@@ -122,6 +123,53 @@ class BinReader
 
     bool take(std::size_t n, const char **out);
 };
+
+inline void
+writeMember(BinWriter &out, std::uint64_t value)
+{
+    out.writeU64(value);
+}
+
+inline void
+writeMember(BinWriter &out, double value)
+{
+    out.writeF64(value);
+}
+
+inline void
+readMember(BinReader &in, std::uint64_t &value)
+{
+    value = in.readU64();
+}
+
+inline void
+readMember(BinReader &in, double &value)
+{
+    value = in.readF64();
+}
+
+/**
+ * Write the members of `value` that a tuple of member pointers names,
+ * in tuple order: std::uint64_t members as u64, double members as f64.
+ * A struct's member list is its checkpoint layout.
+ */
+template <typename T, typename Members>
+void
+writeMembers(BinWriter &out, const T &value, const Members &members)
+{
+    std::apply(
+        [&](auto... member) { (writeMember(out, value.*member), ...); },
+        members);
+}
+
+/** Read what writeMembers wrote with the same member list. */
+template <typename T, typename Members>
+void
+readMembers(BinReader &in, T &value, const Members &members)
+{
+    std::apply([&](auto... member) { (readMember(in, value.*member), ...); },
+               members);
+}
 
 } // namespace cloudseer::common
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <limits>
+#include <ostream>
 
 namespace cloudseer::common {
 
@@ -140,6 +141,14 @@ appendJsonEscaped(std::string &out, std::string_view raw)
         }
     }
     out.append(raw.data() + run, raw.size() - run);
+}
+
+std::ostream &
+operator<<(std::ostream &out, JsonEscaped text)
+{
+    std::string escaped;
+    appendJsonEscaped(escaped, text.raw);
+    return out << escaped;
 }
 
 std::string

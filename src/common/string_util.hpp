@@ -6,6 +6,7 @@
 #ifndef CLOUDSEER_COMMON_STRING_UTIL_HPP
 #define CLOUDSEER_COMMON_STRING_UTIL_HPP
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,6 +48,14 @@ void appendDouble(std::string &out, double value, int precision);
  * UTF-8 or not, is copied as it is.
  */
 void appendJsonEscaped(std::string &out, std::string_view raw);
+
+/** appendJsonEscaped for stream output: `out << JsonEscaped{raw}`. */
+struct JsonEscaped
+{
+    std::string_view raw;
+};
+
+std::ostream &operator<<(std::ostream &out, JsonEscaped text);
 
 /** Format a ratio as a percentage string like "92.08%". */
 std::string formatPercent(double ratio, int precision = 2);

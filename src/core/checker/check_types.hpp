@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/time_util.hpp"
@@ -170,6 +171,29 @@ struct CheckerStats
                                 static_cast<double>(denom);
     }
 };
+
+/** Every CheckerStats counter, in declaration order: the checkpoint
+ *  layout. */
+inline constexpr std::tuple kCheckerStatsMembers{
+    &CheckerStats::messages,
+    &CheckerStats::decisive,
+    &CheckerStats::ambiguous,
+    &CheckerStats::recoveredPassUnknown,
+    &CheckerStats::recoveredNewSequence,
+    &CheckerStats::recoveredOtherSet,
+    &CheckerStats::recoveredFalseDependency,
+    &CheckerStats::unmatched,
+    &CheckerStats::errorsReported,
+    &CheckerStats::timeoutsReported,
+    &CheckerStats::timeoutsSuppressed,
+    &CheckerStats::latencyAnomalies,
+    &CheckerStats::groupsShed,
+    &CheckerStats::accepted,
+    &CheckerStats::consumeAttempts,
+};
+static_assert(sizeof(CheckerStats) ==
+                  8 * std::tuple_size_v<decltype(kCheckerStatsMembers)>,
+              "a CheckerStats counter is missing from its member list");
 
 } // namespace cloudseer::core
 

@@ -1397,21 +1397,7 @@ InterleavedChecker::approxRetainedBytes() const
 void
 InterleavedChecker::saveState(common::BinWriter &out) const
 {
-    out.writeU64(counters.messages);
-    out.writeU64(counters.decisive);
-    out.writeU64(counters.ambiguous);
-    out.writeU64(counters.recoveredPassUnknown);
-    out.writeU64(counters.recoveredNewSequence);
-    out.writeU64(counters.recoveredOtherSet);
-    out.writeU64(counters.recoveredFalseDependency);
-    out.writeU64(counters.unmatched);
-    out.writeU64(counters.errorsReported);
-    out.writeU64(counters.timeoutsReported);
-    out.writeU64(counters.timeoutsSuppressed);
-    out.writeU64(counters.latencyAnomalies);
-    out.writeU64(counters.groupsShed);
-    out.writeU64(counters.accepted);
-    out.writeU64(counters.consumeAttempts);
+    common::writeMembers(out, counters, kCheckerStatsMembers);
 
     out.writeU64(groupOrder.size());
     for (const Ordered &group : groupOrder)
@@ -1468,21 +1454,7 @@ InterleavedChecker::restoreState(common::BinReader &in)
     clearState();
 
     counters = CheckerStats{};
-    counters.messages = in.readU64();
-    counters.decisive = in.readU64();
-    counters.ambiguous = in.readU64();
-    counters.recoveredPassUnknown = in.readU64();
-    counters.recoveredNewSequence = in.readU64();
-    counters.recoveredOtherSet = in.readU64();
-    counters.recoveredFalseDependency = in.readU64();
-    counters.unmatched = in.readU64();
-    counters.errorsReported = in.readU64();
-    counters.timeoutsReported = in.readU64();
-    counters.timeoutsSuppressed = in.readU64();
-    counters.latencyAnomalies = in.readU64();
-    counters.groupsShed = in.readU64();
-    counters.accepted = in.readU64();
-    counters.consumeAttempts = in.readU64();
+    common::readMembers(in, counters, kCheckerStatsMembers);
 
     // Images list groups and sets in id order, but a damaged one need
     // not: each order is sorted, and checked for repeated ids, once its

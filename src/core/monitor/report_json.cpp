@@ -7,15 +7,6 @@
 
 namespace cloudseer::core {
 
-std::string
-jsonEscape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size() + 8);
-    appendJsonEscaped(out, raw);
-    return out;
-}
-
 namespace {
 
 /** Append an integer as std::to_string renders it. */

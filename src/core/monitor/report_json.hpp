@@ -24,11 +24,7 @@ namespace cloudseer::core {
 
 struct IngestStats;
 
-/** Escape a string per JSON rules. */
-std::string jsonEscape(const std::string &raw);
-
-/** Append jsonEscape(raw) to `out` without a temporary (shared with
- *  the flight recorder, which renders bundle context on read). */
+/** The JSON string escaper every report renderer uses. */
 using common::appendJsonEscaped;
 
 /** Render one report as a single-line JSON object. */

@@ -248,8 +248,8 @@ WorkflowMonitor::admit(const logging::LogRecord &record, bool parked)
 void
 WorkflowMonitor::bufferAndRelease(std::vector<MonitorReport> &reports)
 {
-    ingest.reorderBufferPeak =
-        std::max(ingest.reorderBufferPeak, reorderBuffer.insert());
+    ingest.reorderBufferPeak = std::max<std::uint64_t>(
+        ingest.reorderBufferPeak, reorderBuffer.insert());
 
     // Watermark release: a record is ripe once everything that could
     // still precede it (within the window) must already have arrived.
@@ -780,18 +780,7 @@ WorkflowMonitor::saveState(common::BinWriter &out) const
     out.writeF64(lastTimestamp);
     out.writeBool(anyFed);
 
-    out.writeU64(ingest.linesSeen);
-    out.writeU64(ingest.recordsDelivered);
-    out.writeU64(ingest.malformedBadTimestamp);
-    out.writeU64(ingest.malformedBadHeader);
-    out.writeU64(ingest.malformedTruncatedPayload);
-    out.writeU64(ingest.nonMonotonicClamped);
-    out.writeF64(ingest.maxRegressionSeconds);
-    out.writeU64(ingest.duplicatesSuppressed);
-    out.writeU64(ingest.reorderBufferPeak);
-    out.writeU64(ingest.forcedReleases);
-    out.writeU64(ingest.groupsShed);
-    out.writeU64(ingest.memoryEvictions);
+    common::writeMembers(out, ingest, kIngestStatsMembers);
 
     out.writeU64(quarantined.size());
     for (const QuarantinedLine &entry : quarantined) {
@@ -817,19 +806,7 @@ WorkflowMonitor::restoreState(common::BinReader &in)
     anyFed = in.readBool();
 
     ingest = IngestStats{};
-    ingest.linesSeen = in.readU64();
-    ingest.recordsDelivered = in.readU64();
-    ingest.malformedBadTimestamp = in.readU64();
-    ingest.malformedBadHeader = in.readU64();
-    ingest.malformedTruncatedPayload = in.readU64();
-    ingest.nonMonotonicClamped = in.readU64();
-    ingest.maxRegressionSeconds = in.readF64();
-    ingest.duplicatesSuppressed = in.readU64();
-    ingest.reorderBufferPeak =
-        static_cast<std::size_t>(in.readU64());
-    ingest.forcedReleases = in.readU64();
-    ingest.groupsShed = in.readU64();
-    ingest.memoryEvictions = in.readU64();
+    common::readMembers(in, ingest, kIngestStatsMembers);
 
     std::uint64_t quarantine_count = in.readU64();
     if (!in.ok())

@@ -20,6 +20,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
@@ -159,7 +160,7 @@ struct IngestStats
     std::uint64_t duplicatesSuppressed = 0;
 
     // Reorder buffer.
-    std::size_t reorderBufferPeak = 0;
+    std::uint64_t reorderBufferPeak = 0;
     std::uint64_t forcedReleases = 0; ///< overflow force-outs
 
     // Shedding.
@@ -173,6 +174,26 @@ struct IngestStats
                malformedTruncatedPayload;
     }
 };
+
+/** Every IngestStats field, in declaration order: the checkpoint
+ *  layout. */
+inline constexpr std::tuple kIngestStatsMembers{
+    &IngestStats::linesSeen,
+    &IngestStats::recordsDelivered,
+    &IngestStats::malformedBadTimestamp,
+    &IngestStats::malformedBadHeader,
+    &IngestStats::malformedTruncatedPayload,
+    &IngestStats::nonMonotonicClamped,
+    &IngestStats::maxRegressionSeconds,
+    &IngestStats::duplicatesSuppressed,
+    &IngestStats::reorderBufferPeak,
+    &IngestStats::forcedReleases,
+    &IngestStats::groupsShed,
+    &IngestStats::memoryEvictions,
+};
+static_assert(sizeof(IngestStats) ==
+                  8 * std::tuple_size_v<decltype(kIngestStatsMembers)>,
+              "an IngestStats field is missing from its member list");
 
 /** Monitor configuration. */
 struct MonitorConfig

@@ -2,23 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 
 namespace cloudseer::obs {
 
 namespace {
 
 constexpr int kSubBuckets = 9; // mantissa 1..9 per decade
-
-std::string
-formatNumber(double value)
-{
-    std::ostringstream out;
-    out << value;
-    return out.str();
-}
 
 /**
  * HELP-text escaping per the Prometheus exposition spec: backslash
@@ -59,26 +53,16 @@ escapeLabelValue(const std::string &text)
     return out;
 }
 
-/** Minimal JSON string escaping for metric keys in jsonSnapshot. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '"')
-            out += "\\\"";
-        else if (c == '\n')
-            out += "\\n";
-        else
-            out += c;
-    }
-    return out;
-}
-
 } // namespace
+
+std::string
+formatNumber(double value)
+{
+    // printf's %g is what an ostream prints a double as by default.
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", value);
+    return buf;
+}
 
 Histogram::Histogram(int min_exp, int max_exp)
 {
@@ -357,7 +341,7 @@ MetricsRegistry::jsonSnapshot() const
     out << "},\"gauges\":{";
     first = true;
     for (const auto &[name, entry] : gauges) {
-        out << (first ? "" : ",") << "\"" << jsonEscape(name)
+        out << (first ? "" : ",") << "\"" << common::JsonEscaped{name}
             << "\":" << formatNumber(entry.metric.value());
         first = false;
     }

@@ -32,6 +32,10 @@
 
 namespace cloudseer::obs {
 
+/** A double as every obs exposition prints it: six significant digits,
+ *  as printf's %g does. */
+std::string formatNumber(double value);
+
 /** Monotonic counter. set() exists for sampling an upstream tally. */
 class Counter
 {

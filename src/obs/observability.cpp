@@ -1,17 +1,40 @@
 #include "obs/observability.hpp"
 
-#include <sstream>
+#include <charconv>
 
 namespace cloudseer::obs {
 
 namespace {
 
-std::string
-formatNumber(double value)
+constexpr std::string_view kHealthKind = "\"kind\":\"HEALTH\"";
+
+/** The row for `key` inside `section`, or null. */
+const HealthField *
+findField(std::string_view section, std::string_view key)
 {
-    std::ostringstream out;
-    out << value;
-    return out.str();
+    for (const HealthField &field : kHealthFields) {
+        if (field.section == section && field.key == key)
+            return &field;
+    }
+    return nullptr;
+}
+
+/** Parse `text` into the field's member; an unparsable value leaves
+ *  it as it is. */
+void
+parseValue(const HealthField &field, std::string_view text,
+           HealthSample &sample)
+{
+    const char *end = text.data() + text.size();
+    if (field.count != nullptr) {
+        std::uint64_t value = 0;
+        if (std::from_chars(text.data(), end, value).ec == std::errc())
+            sample.*field.count = value;
+    } else {
+        double value = 0.0;
+        if (std::from_chars(text.data(), end, value).ec == std::errc())
+            sample.*field.real = value;
+    }
 }
 
 } // namespace
@@ -19,132 +42,108 @@ formatNumber(double value)
 std::string
 HealthSample::toJson() const
 {
-    std::ostringstream out;
-    out << "{\"kind\":\"HEALTH\",\"time\":" << formatNumber(time)
-        << ",\"messages\":" << messages
-        << ",\"delivered\":" << recordsDelivered
-        << ",\"activeGroups\":" << activeGroups
-        << ",\"idsets\":" << activeIdentifierSets
-        << ",\"decisive\":" << decisive
-        << ",\"ambiguous\":" << ambiguous
-        << ",\"recoveries\":{\"a\":" << recoveredPassUnknown
-        << ",\"b\":" << recoveredNewSequence
-        << ",\"c\":" << recoveredOtherSet
-        << ",\"d\":" << recoveredFalseDependency << "}"
-        << ",\"unmatched\":" << unmatched
-        << ",\"accepted\":" << accepted
-        << ",\"errors\":" << errorsReported
-        << ",\"timeouts\":" << timeoutsReported
-        << ",\"suppressed\":" << timeoutsSuppressed
-        << ",\"shed\":" << groupsShed
-        << ",\"consumeAttempts\":" << consumeAttempts
-        << ",\"decisiveFraction\":" << formatNumber(decisiveFraction)
-        << ",\"ingest\":{\"lines\":" << linesSeen
-        << ",\"malformed\":" << malformedLines
-        << ",\"clamped\":" << nonMonotonicClamped
-        << ",\"duplicates\":" << duplicatesSuppressed
-        << ",\"forced\":" << forcedReleases
-        << ",\"reorderPeak\":" << reorderBufferPeak << "}"
-        << ",\"memory\":{\"evictions\":" << memoryEvictions
-        << ",\"internerCapRejected\":" << internerCapRejected << "}"
-        << ",\"interner\":{\"size\":" << internerSize
-        << ",\"hits\":" << internerHits
-        << ",\"misses\":" << internerMisses << "}"
-        << ",\"timeoutPolicy\":{\"resolutions\":" << timeoutResolutions
-        << ",\"fallbacks\":" << timeoutDefaultFallbacks << "}"
-        << ",\"feedLatencyUs\":{\"p50\":" << formatNumber(feedP50us)
-        << ",\"p90\":" << formatNumber(feedP90us)
-        << ",\"p99\":" << formatNumber(feedP99us)
-        << ",\"max\":" << formatNumber(feedMaxUs) << "}"
-        << ",\"walAppendUs\":{\"p50\":" << formatNumber(walAppendP50us)
-        << ",\"p99\":" << formatNumber(walAppendP99us) << "}}";
-    return out.str();
+    std::string out = "{";
+    out += kHealthKind;
+    std::string_view open; // the section being written
+    bool first = false;    // no comma before the section's first key
+    for (const HealthField &field : kHealthFields) {
+        if (field.section != open) {
+            if (!open.empty())
+                out += '}';
+            if (!field.section.empty()) {
+                out += ",\"";
+                out += field.section;
+                out += "\":{";
+                first = true;
+            }
+            open = field.section;
+        }
+        out += first ? "\"" : ",\"";
+        first = false;
+        out += field.key;
+        out += "\":";
+        if (field.count != nullptr) {
+            char buf[24];
+            out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                          this->*field.count)
+                                .ptr);
+        } else {
+            out += formatNumber(this->*field.real);
+        }
+    }
+    if (!open.empty())
+        out += '}';
+    out += '}';
+    return out;
+}
+
+HealthSample
+HealthSample::fromJson(std::string_view line)
+{
+    HealthSample sample;
+    std::string_view section;
+    std::size_t at = 0;
+    while (at < line.size()) {
+        if (line[at] == '}') {
+            section = {};
+            ++at;
+            continue;
+        }
+        if (line[at] != '"') {
+            ++at;
+            continue;
+        }
+        const std::size_t close = line.find('"', at + 1);
+        if (close == std::string_view::npos)
+            break;
+        const std::string_view name = line.substr(at + 1, close - at - 1);
+        at = close + 1;
+        if (at >= line.size() || line[at] != ':')
+            continue;
+        ++at;
+        if (at < line.size() && line[at] == '{') {
+            section = name;
+            ++at;
+            continue;
+        }
+        if (at < line.size() && line[at] == '"')
+            continue; // a string value: read next as a name, then skipped
+        std::size_t end = line.find_first_of(",}", at);
+        if (end == std::string_view::npos)
+            end = line.size();
+        if (const HealthField *field = findField(section, name))
+            parseValue(*field, line.substr(at, end - at), sample);
+        at = end;
+    }
+    return sample;
+}
+
+bool
+HealthSample::isJson(std::string_view line)
+{
+    return line.find(kHealthKind) != std::string_view::npos;
 }
 
 void
 HealthSample::saveState(common::BinWriter &out) const
 {
-    out.writeF64(time);
-    out.writeU64(messages);
-    out.writeU64(decisive);
-    out.writeU64(ambiguous);
-    out.writeU64(recoveredPassUnknown);
-    out.writeU64(recoveredNewSequence);
-    out.writeU64(recoveredOtherSet);
-    out.writeU64(recoveredFalseDependency);
-    out.writeU64(unmatched);
-    out.writeU64(accepted);
-    out.writeU64(errorsReported);
-    out.writeU64(timeoutsReported);
-    out.writeU64(timeoutsSuppressed);
-    out.writeU64(groupsShed);
-    out.writeU64(consumeAttempts);
-    out.writeF64(decisiveFraction);
-    out.writeU64(activeGroups);
-    out.writeU64(activeIdentifierSets);
-    out.writeU64(linesSeen);
-    out.writeU64(recordsDelivered);
-    out.writeU64(malformedLines);
-    out.writeU64(nonMonotonicClamped);
-    out.writeU64(duplicatesSuppressed);
-    out.writeU64(forcedReleases);
-    out.writeU64(reorderBufferPeak);
-    out.writeU64(memoryEvictions);
-    out.writeU64(internerCapRejected);
-    out.writeU64(internerSize);
-    out.writeU64(internerHits);
-    out.writeU64(internerMisses);
-    out.writeU64(timeoutResolutions);
-    out.writeU64(timeoutDefaultFallbacks);
-    out.writeF64(feedP50us);
-    out.writeF64(feedP90us);
-    out.writeF64(feedP99us);
-    out.writeF64(feedMaxUs);
-    out.writeF64(walAppendP50us);
-    out.writeF64(walAppendP99us);
+    for (const HealthField &field : kHealthFields) {
+        if (field.count != nullptr)
+            out.writeU64(this->*field.count);
+        else
+            out.writeF64(this->*field.real);
+    }
 }
 
 bool
 HealthSample::restoreState(common::BinReader &in)
 {
-    time = in.readF64();
-    messages = in.readU64();
-    decisive = in.readU64();
-    ambiguous = in.readU64();
-    recoveredPassUnknown = in.readU64();
-    recoveredNewSequence = in.readU64();
-    recoveredOtherSet = in.readU64();
-    recoveredFalseDependency = in.readU64();
-    unmatched = in.readU64();
-    accepted = in.readU64();
-    errorsReported = in.readU64();
-    timeoutsReported = in.readU64();
-    timeoutsSuppressed = in.readU64();
-    groupsShed = in.readU64();
-    consumeAttempts = in.readU64();
-    decisiveFraction = in.readF64();
-    activeGroups = in.readU64();
-    activeIdentifierSets = in.readU64();
-    linesSeen = in.readU64();
-    recordsDelivered = in.readU64();
-    malformedLines = in.readU64();
-    nonMonotonicClamped = in.readU64();
-    duplicatesSuppressed = in.readU64();
-    forcedReleases = in.readU64();
-    reorderBufferPeak = in.readU64();
-    memoryEvictions = in.readU64();
-    internerCapRejected = in.readU64();
-    internerSize = in.readU64();
-    internerHits = in.readU64();
-    internerMisses = in.readU64();
-    timeoutResolutions = in.readU64();
-    timeoutDefaultFallbacks = in.readU64();
-    feedP50us = in.readF64();
-    feedP90us = in.readF64();
-    feedP99us = in.readF64();
-    feedMaxUs = in.readF64();
-    walAppendP50us = in.readF64();
-    walAppendP99us = in.readF64();
+    for (const HealthField &field : kHealthFields) {
+        if (field.count != nullptr)
+            this->*field.count = in.readU64();
+        else
+            this->*field.real = in.readF64();
+    }
     return in.ok();
 }
 
@@ -239,90 +238,28 @@ Observability::addSnapshot(const HealthSample &sample)
 void
 Observability::updateRegistry(const HealthSample &s)
 {
-    auto c = [this](const char *name, const char *help,
-                    std::uint64_t value) {
-        registry.counter(name, help).set(value);
-    };
+    for (const HealthField &field : kHealthFields) {
+        if (field.kind == MetricKind::Counter)
+            registry.counter(field.metric, field.help).set(s.*field.count);
+        else if (field.kind == MetricKind::Gauge)
+            registry.gauge(field.metric, field.help).set(field.value(s));
+    }
+
+    // Derived and facade-owned series.
     auto g = [this](const char *name, const char *help, double value) {
         registry.gauge(name, help).set(value);
     };
-
-    c("seer_messages_total", "messages the checker processed",
-      s.messages);
-    c("seer_decisive_total", "Algorithm 2 case-1 consumptions",
-      s.decisive);
-    c("seer_ambiguous_total", "Algorithm 2 case-2 forks", s.ambiguous);
-    c("seer_recovery_pass_unknown_total",
-      "recovery (a): unknown-template pass-throughs",
-      s.recoveredPassUnknown);
-    c("seer_recovery_new_sequence_total",
-      "recovery (b): new-sequence starts", s.recoveredNewSequence);
-    c("seer_recovery_other_set_total",
-      "recovery (c): re-routed to another identifier set",
-      s.recoveredOtherSet);
-    c("seer_recovery_false_dependency_total",
-      "recovery (d): false-dependency repairs",
-      s.recoveredFalseDependency);
-    c("seer_unmatched_total", "messages no recovery could place",
-      s.unmatched);
-    c("seer_accepted_total", "sequences accepted", s.accepted);
-    c("seer_errors_reported_total", "error-criterion reports",
-      s.errorsReported);
-    c("seer_timeouts_reported_total", "timeout-criterion reports",
-      s.timeoutsReported);
-    c("seer_timeouts_suppressed_total",
-      "timeouts pruned by lineage coverage", s.timeoutsSuppressed);
-    c("seer_groups_shed_total", "groups evicted under cap pressure",
-      s.groupsShed);
-    c("seer_consume_attempts_total", "group consumption probes",
-      s.consumeAttempts);
-
-    c("seer_ingest_lines_total", "raw lines offered to feedLine",
-      s.linesSeen);
-    c("seer_ingest_records_delivered_total",
-      "records that reached the checker", s.recordsDelivered);
-    c("seer_ingest_malformed_total", "quarantined malformed lines",
-      s.malformedLines);
-    c("seer_ingest_clamped_total",
-      "non-monotonic timestamps seen by the guard",
-      s.nonMonotonicClamped);
-    c("seer_ingest_duplicates_suppressed_total",
-      "near-duplicate deliveries suppressed", s.duplicatesSuppressed);
-    c("seer_ingest_forced_releases_total",
-      "reorder-buffer overflow force-outs", s.forcedReleases);
-    c("seer_memory_evictions_total",
-      "groups evicted by the memory ceiling", s.memoryEvictions);
-    c("seer_interner_cap_rejected_total",
-      "identifiers refused at the interner capacity",
-      s.internerCapRejected);
-    c("seer_timeout_resolutions_total",
-      "per-group timeout resolutions", s.timeoutResolutions);
-    c("seer_timeout_default_fallbacks_total",
-      "timeout resolutions that fell back to the default",
-      s.timeoutDefaultFallbacks);
-
-    g("seer_active_groups", "automaton groups currently in flight",
-      static_cast<double>(s.activeGroups));
-    g("seer_active_identifier_sets",
-      "identifier sets currently tracked",
-      static_cast<double>(s.activeIdentifierSets));
-    g("seer_reorder_buffer_peak", "largest reorder-buffer depth seen",
-      static_cast<double>(s.reorderBufferPeak));
-    g("seer_interner_size", "identifiers interned process-wide",
-      static_cast<double>(s.internerSize));
     double lookups =
         static_cast<double>(s.internerHits + s.internerMisses);
     g("seer_interner_hit_rate",
       "fraction of intern lookups served from the table",
       lookups > 0.0 ? static_cast<double>(s.internerHits) / lookups
                     : 0.0);
-    g("seer_decisive_fraction",
-      "fraction of routed messages resolved decisively",
-      s.decisiveFraction);
     if (tracerPtr != nullptr) {
-        c("seer_trace_spans_dropped_total",
-          "closed spans dropped past the retention cap",
-          tracerPtr->droppedSpans());
+        registry
+            .counter("seer_trace_spans_dropped_total",
+                     "closed spans dropped past the retention cap")
+            .set(tracerPtr->droppedSpans());
         g("seer_trace_open_spans", "spans currently open",
           static_cast<double>(tracerPtr->openSpans()));
     }
@@ -399,9 +336,15 @@ Observability::restoreState(common::BinReader &in)
             return false;
         }
     }
+    // A count the rest of the image cannot hold is refused before it
+    // sizes the series.
     std::uint64_t sample_count = in.readU64();
     if (!in.ok())
         return false;
+    if (sample_count > in.remaining() / kHealthSampleBytes) {
+        in.fail();
+        return false;
+    }
     history.clear();
     history.reserve(static_cast<std::size_t>(sample_count));
     for (std::uint64_t i = 0; i < sample_count; ++i) {

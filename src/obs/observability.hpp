@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/health_fields.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -64,78 +65,6 @@ struct ObsConfig
         return metrics || tracing || snapshotIntervalSeconds > 0.0 ||
                flightRecorder.enabled();
     }
-};
-
-/**
- * One flattened health observation of a running monitor. Field names
- * mirror the stable metric catalog in DESIGN.md §11.
- */
-struct HealthSample
-{
-    double time = 0.0; ///< message-clock seconds
-
-    // Checker (CheckerStats).
-    std::uint64_t messages = 0;
-    std::uint64_t decisive = 0;
-    std::uint64_t ambiguous = 0;
-    std::uint64_t recoveredPassUnknown = 0;
-    std::uint64_t recoveredNewSequence = 0;
-    std::uint64_t recoveredOtherSet = 0;
-    std::uint64_t recoveredFalseDependency = 0;
-    std::uint64_t unmatched = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t errorsReported = 0;
-    std::uint64_t timeoutsReported = 0;
-    std::uint64_t timeoutsSuppressed = 0;
-    std::uint64_t groupsShed = 0;
-    std::uint64_t consumeAttempts = 0;
-    double decisiveFraction = 0.0;
-
-    // Live state.
-    std::uint64_t activeGroups = 0;
-    std::uint64_t activeIdentifierSets = 0;
-
-    // Ingest guards (IngestStats).
-    std::uint64_t linesSeen = 0;
-    std::uint64_t recordsDelivered = 0;
-    std::uint64_t malformedLines = 0;
-    std::uint64_t nonMonotonicClamped = 0;
-    std::uint64_t duplicatesSuppressed = 0;
-    std::uint64_t forcedReleases = 0;
-    std::uint64_t reorderBufferPeak = 0;
-
-    // Bounded-memory guards (seer-vault, DESIGN.md §13).
-    std::uint64_t memoryEvictions = 0;
-    std::uint64_t internerCapRejected = 0;
-
-    // Identifier interner.
-    std::uint64_t internerSize = 0;
-    std::uint64_t internerHits = 0;
-    std::uint64_t internerMisses = 0;
-
-    // Timeout policy resolution.
-    std::uint64_t timeoutResolutions = 0;
-    std::uint64_t timeoutDefaultFallbacks = 0;
-
-    // Feed latency (microseconds; zero until metrics record some).
-    double feedP50us = 0.0;
-    double feedP90us = 0.0;
-    double feedP99us = 0.0;
-    double feedMaxUs = 0.0;
-
-    // WAL append latency (seer-vault ledger; zero unless a
-    // VaultedMonitor with metrics is recording, seer-pulse §16).
-    double walAppendP50us = 0.0;
-    double walAppendP99us = 0.0;
-
-    /** Single-line JSON rendering ({"kind":"HEALTH",...}). */
-    std::string toJson() const;
-
-    /** Serialise every field (seer-vault, DESIGN.md §13). */
-    void saveState(common::BinWriter &out) const;
-
-    /** Replace this sample with a saved one. */
-    bool restoreState(common::BinReader &in);
 };
 
 /** The per-monitor observability bundle. */

@@ -6,18 +6,11 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 
 namespace cloudseer::obs {
 
 namespace {
-
-std::string
-formatNumber(double value)
-{
-    std::ostringstream out;
-    out << value;
-    return out.str();
-}
 
 constexpr std::array<const char *, kPulseSignalCount> kSignalNames = {
     "template_miss_rate",  "divergence_recovery_rate",
@@ -25,24 +18,6 @@ constexpr std::array<const char *, kPulseSignalCount> kSignalNames = {
     "error_rate",          "timeout_rate",
     "wal_append_p99_us",   "feed_p99_us",
 };
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '\\')
-            out += "\\\\";
-        else if (c == '"')
-            out += "\\\"";
-        else if (c == '\n')
-            out += "\\n";
-        else
-            out += c;
-    }
-    return out;
-}
 
 } // namespace
 
@@ -200,7 +175,8 @@ AlertRecord::toJson() const
 {
     std::ostringstream out;
     out << "{\"kind\":\"ALERT\",\"time\":" << formatNumber(time)
-        << ",\"rule\":\"" << jsonEscape(rule) << "\",\"signal\":\""
+        << ",\"rule\":\"" << common::JsonEscaped{rule}
+        << "\",\"signal\":\""
         << pulseSignalName(signal) << "\",\"state\":\"" << state
         << "\",\"since\":" << formatNumber(since)
         << ",\"value\":" << formatNumber(value)
@@ -303,7 +279,8 @@ AlertEngine::activeJson(double now) const
         if (st.state == AlertState::Inactive)
             continue;
         out << (first ? "" : ",") << "{\"rule\":\""
-            << jsonEscape(pack[i].name) << "\",\"signal\":\""
+            << common::JsonEscaped{pack[i].name}
+            << "\",\"signal\":\""
             << pulseSignalName(pack[i].signal) << "\",\"state\":\""
             << alertStateName(st.state)
             << "\",\"since\":" << formatNumber(st.since)
@@ -464,8 +441,9 @@ buildInfoJson(const std::string &version,
               double uptime_seconds)
 {
     std::ostringstream out;
-    out << "{\"version\":\"" << jsonEscape(version)
-        << "\",\"modelFingerprint\":\"" << jsonEscape(model_fingerprint)
+    out << "{\"version\":\"" << common::JsonEscaped{version}
+        << "\",\"modelFingerprint\":\""
+        << common::JsonEscaped{model_fingerprint}
         << "\",\"uptimeSeconds\":" << formatNumber(uptime_seconds)
         << "}";
     return out.str();

@@ -96,9 +96,12 @@ inline constexpr char kCheckpointMagic[9] = "CSEERVLT";
 inline constexpr char kLedgerMagic[9] = "CSEERWAL";
 
 /** On-disk format version for both files. 2: health samples no
- *  longer carry the deleted sharded engine's lanes and counters, so a
- *  version-1 checkpoint would misparse and is refused instead. */
-inline constexpr std::uint32_t kVaultVersion = 2;
+ *  longer carry the deleted sharded engine's lanes and counters. 3:
+ *  health samples are saved in kHealthFields order (the HEALTH JSON
+ *  order), which moves recordsDelivered, activeGroups and
+ *  activeIdentifierSets. An older checkpoint would restore with fields
+ *  misplaced, so it is refused instead. */
+inline constexpr std::uint32_t kVaultVersion = 3;
 
 /** Ledger group-commit threshold: pending frame bytes that trigger a
  *  write to the OS. Sized so the hot path is a memcpy per input and

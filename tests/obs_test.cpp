@@ -506,6 +506,83 @@ TEST_F(ObsMonitorTest, HealthSampleFlattensLiveState)
     EXPECT_NE(json.find("\"activeGroups\":1"), std::string::npos);
 }
 
+// --- the health field table ------------------------------------------
+
+namespace {
+
+/** A sample with every field distinct, doubles that print exactly. */
+HealthSample
+distinctSample()
+{
+    HealthSample s;
+    double next = 1.0;
+    for (const HealthField &field : kHealthFields) {
+        if (field.count != nullptr)
+            s.*field.count = static_cast<std::uint64_t>(next);
+        else
+            s.*field.real = next + 0.25;
+        next += 1.0;
+    }
+    return s;
+}
+
+} // namespace
+
+TEST(HealthFieldsTest, FromJsonInvertsToJsonFieldByField)
+{
+    const HealthSample s = distinctSample();
+    const std::string json = s.toJson();
+    EXPECT_TRUE(HealthSample::isJson(json));
+    EXPECT_NE(json.find(",\"recoveries\":{\"a\":8,\"b\":9,"),
+              std::string::npos)
+        << json;
+    const HealthSample back = HealthSample::fromJson(json);
+    for (const HealthField &field : kHealthFields)
+        EXPECT_EQ(field.value(back), field.value(s)) << field.key;
+    EXPECT_EQ(back.toJson(), json);
+
+    // Absent keys stay 0; a key is read only inside its own section.
+    const HealthSample sparse = HealthSample::fromJson(
+        "{\"kind\":\"HEALTH\",\"p99\":7,\"walAppendUs\":{\"p99\":3}}");
+    EXPECT_EQ(sparse.feedP99us, 0.0);
+    EXPECT_EQ(sparse.walAppendP99us, 3.0);
+    EXPECT_EQ(sparse.messages, 0u);
+    EXPECT_FALSE(HealthSample::isJson("{\"kind\":\"SUMMARY\"}"));
+}
+
+TEST(HealthFieldsTest, RestoreRefusesASnapshotCountTheImageCannotHold)
+{
+    ObsConfig config;
+    config.snapshotIntervalSeconds = 1.0; // no histograms to restore
+    Observability saved(config);
+    HealthSample sample = distinctSample();
+    saved.addSnapshot(sample);
+    sample.time += 5.0;
+    saved.addSnapshot(sample);
+    common::BinWriter image;
+    saved.saveState(image);
+    ASSERT_EQ(image.bytes().size(), 2 + 8 + 2 * kHealthSampleBytes + 9);
+
+    Observability restored(config);
+    common::BinReader sound(image.bytes());
+    ASSERT_TRUE(restored.restoreState(sound));
+    EXPECT_EQ(restored.snapshotJsonLines(), saved.snapshotJsonLines());
+
+    // The same image with its count raised: to one sample more than
+    // it holds, and to counts that would ask reserve() for terabytes
+    // or more than a vector can hold.
+    for (std::uint64_t count : {std::uint64_t{3}, std::uint64_t{1} << 40,
+                                std::uint64_t{1} << 60}) {
+        std::string bytes(image.bytes());
+        for (int i = 0; i < 8; ++i)
+            bytes[2 + i] = static_cast<char>((count >> (8 * i)) & 0xff);
+        Observability target(config);
+        common::BinReader reader(bytes);
+        EXPECT_FALSE(target.restoreState(reader)) << count;
+        EXPECT_FALSE(reader.ok());
+    }
+}
+
 TEST(TimeoutPolicyTest, ResolutionCountersTrackFallbacks)
 {
     core::TimeoutPolicy policy;

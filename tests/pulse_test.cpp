@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -351,6 +353,44 @@ TEST(PulseEngineTest, DrainsAlertLinesAndLogsToFile)
     ASSERT_TRUE(std::getline(log_in, logged));
     EXPECT_EQ(logged, lines[0]);
     std::filesystem::remove(log_path);
+}
+
+TEST(PulseEngineTest, ControlBytesInRuleNamesAreEscaped)
+{
+    // The parser splits on whitespace only, so a rule name can carry
+    // any other byte; ALERT lines and /alerts must still be JSON.
+    PulseConfig config;
+    config.enabled = true;
+    config.windowSeconds = 10.0;
+    std::string error;
+    ASSERT_TRUE(parseAlertRules("rule a\x01" "b\"c signal=shed_rate "
+                                "threshold=0\n",
+                                config.rules, error))
+        << error;
+    PulseEngine engine(config);
+    engine.observe(sampleAt(0.0));
+    HealthSample shed = sampleAt(1.0);
+    shed.messages = 10;
+    shed.groupsShed = 3;
+    engine.observe(shed);
+
+    std::vector<std::string> lines = engine.drainAlertLines();
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"rule\":\"a\\u0001b\\\"c\""),
+              std::string::npos)
+        << lines[0];
+    EXPECT_NE(engine.alertsJson().find("\"rule\":\"a\\u0001b\\\"c\""),
+              std::string::npos)
+        << engine.alertsJson();
+    for (const std::string &json : {lines[0], engine.alertsJson()}) {
+        EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                                [](char c) {
+                                    return static_cast<unsigned char>(c) <
+                                           0x20;
+                                }),
+                  0)
+            << json;
+    }
 }
 
 TEST(PulseEngineTest, HealthzReflectsWindowDegradation)

@@ -182,7 +182,11 @@ TEST(StreamingSession, DetectsInjectedProblemsLive)
 
 TEST(ReportJson, EscapesStrings)
 {
-    using core::jsonEscape;
+    auto jsonEscape = [](std::string_view raw) {
+        std::string out;
+        core::appendJsonEscaped(out, raw);
+        return out;
+    };
     EXPECT_EQ(jsonEscape("plain"), "plain");
     EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
     EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");

@@ -872,62 +872,68 @@ TEST_F(VaultMonitorTest, RecoveryRefusesModelFingerprintMismatch)
 
 TEST_F(VaultMonitorTest, RecoveryRefusesCheckpointOfAnOlderFormat)
 {
-    VaultDir dir("vault_old_format");
-    vault::VaultConfig vault_config;
-    vault_config.directory = dir.path;
-    std::vector<logging::LogRecord> records = workload(7, 8);
-    {
+    // Version 1 checkpoints carried the sharded engine's health
+    // fields; version 2 saved health samples in an order of their own
+    // rather than kHealthFields order. Either would restore with fields
+    // misplaced.
+    for (const char version : {1, 2}) {
+        SCOPED_TRACE(testing::Message() << "version " << int(version));
+        VaultDir dir("vault_old_format");
+        vault::VaultConfig vault_config;
+        vault_config.directory = dir.path;
+        std::vector<logging::LogRecord> records = workload(7, 8);
         // With metrics on, the checkpoint carries health samples,
-        // whose layout is what changed between versions 1 and 2.
+        // whose layout is what changed between versions.
         MonitorConfig instrumented = config(false);
         instrumented.observability.metrics = true;
         instrumented.observability.snapshotIntervalSeconds = 1.0;
-        vault::VaultedMonitor vaulted(vault_config, instrumented,
-                                      catalog, automata());
-        for (const logging::LogRecord &record : records)
-            vaulted.feed(record);
-        ASSERT_TRUE(vaulted.checkpoint());
-    }
+        {
+            vault::VaultedMonitor vaulted(vault_config, instrumented,
+                                          catalog, automata());
+            for (const logging::LogRecord &record : records)
+                vaulted.feed(record);
+            ASSERT_TRUE(vaulted.checkpoint());
+        }
 
-    // Rewrite the header's version word (bytes 8-11, little-endian)
-    // to 1, the format before the health-sample layout changed.
-    const std::string path = vault::checkpointPath(dir.path);
-    {
-        std::fstream file(path,
-                          std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(file.is_open());
-        file.seekp(8);
-        const char version_one[4] = {1, 0, 0, 0};
-        file.write(version_one, 4);
-        ASSERT_TRUE(file.good());
-    }
+        // Rewrite the header's version word (bytes 8-11,
+        // little-endian).
+        const std::string path = vault::checkpointPath(dir.path);
+        {
+            std::fstream file(path, std::ios::in | std::ios::out |
+                                        std::ios::binary);
+            ASSERT_TRUE(file.is_open());
+            file.seekp(8);
+            const char old_version[4] = {version, 0, 0, 0};
+            file.write(old_version, 4);
+            ASSERT_TRUE(file.good());
+        }
 
-    MonitorConfig instrumented = config(false);
-    instrumented.observability.metrics = true;
-    instrumented.observability.snapshotIntervalSeconds = 1.0;
-    vault::VaultedMonitor restored(vault_config, instrumented, catalog,
-                                   automata());
-    EXPECT_TRUE(restored.recovery().attempted);
-    EXPECT_FALSE(restored.recovery().recovered);
-    EXPECT_EQ(restored.recovery().error,
-              "checkpoint unreadable or incomplete");
-    EXPECT_EQ(restored.recovery().replayedInputs, 0u);
+        vault::VaultedMonitor restored(vault_config, instrumented,
+                                       catalog, automata());
+        EXPECT_TRUE(restored.recovery().attempted);
+        EXPECT_FALSE(restored.recovery().recovered);
+        EXPECT_EQ(restored.recovery().error,
+                  "checkpoint unreadable or incomplete");
+        EXPECT_EQ(restored.recovery().replayedInputs, 0u);
+        EXPECT_TRUE(std::filesystem::exists(path + ".refused"));
 
-    // The monitor starts from a fresh state: nothing of the old run
-    // survives, and the stream checks as on a brand-new monitor.
-    EXPECT_EQ(restored.monitor().stats().messages, 0u);
-    EXPECT_EQ(restored.monitor().ingestStats().recordsDelivered, 0u);
-    EXPECT_EQ(restored.monitor().activeGroups(), 0u);
-    WorkflowMonitor fresh(instrumented, catalog, automata());
-    std::string left, right;
-    for (const logging::LogRecord &record : records) {
-        left += render(fresh.feed(record), catalog);
-        right += render(restored.feed(record), catalog);
+        // The monitor starts from a fresh state: nothing of the old
+        // run survives, and the stream checks as on a brand-new
+        // monitor.
+        EXPECT_EQ(restored.monitor().stats().messages, 0u);
+        EXPECT_EQ(restored.monitor().ingestStats().recordsDelivered, 0u);
+        EXPECT_EQ(restored.monitor().activeGroups(), 0u);
+        WorkflowMonitor fresh(instrumented, catalog, automata());
+        std::string left, right;
+        for (const logging::LogRecord &record : records) {
+            left += render(fresh.feed(record), catalog);
+            right += render(restored.feed(record), catalog);
+        }
+        left += render(fresh.finish(), catalog);
+        right += render(restored.finish(), catalog);
+        EXPECT_FALSE(left.empty());
+        EXPECT_EQ(left, right);
     }
-    left += render(fresh.finish(), catalog);
-    right += render(restored.finish(), catalog);
-    EXPECT_FALSE(left.empty());
-    EXPECT_EQ(left, right);
 }
 
 // --- mutation fuzz: WAL scan and checkpoint restore -------------------

@@ -205,50 +205,6 @@ cmdRulesCheck(const std::vector<std::string> &args)
 
 // --- replay: HEALTH JSONL → HealthSample → alert engine ---------------
 
-/** Numeric value after `"key":` at or past `from` (0 when absent). */
-double
-numberValue(const std::string &line, const std::string &key,
-            std::size_t from = 0)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t at = line.find(needle, from);
-    if (at == std::string::npos)
-        return 0.0;
-    return std::atof(line.c_str() + at + needle.size());
-}
-
-/**
- * Rehydrate the HealthSample fields the rate engine consumes from one
- * {"kind":"HEALTH"} line (HealthSample::toJson key layout).
- */
-obs::HealthSample
-sampleFromJson(const std::string &line)
-{
-    auto u64 = [&](const char *key, std::size_t from = 0) {
-        return static_cast<std::uint64_t>(numberValue(line, key, from));
-    };
-    obs::HealthSample s;
-    s.time = numberValue(line, "time");
-    s.messages = u64("messages");
-    std::size_t rec = line.find("\"recoveries\":{");
-    s.recoveredPassUnknown = u64("a", rec);
-    s.recoveredOtherSet = u64("c", rec);
-    s.recoveredFalseDependency = u64("d", rec);
-    s.errorsReported = u64("errors");
-    s.timeoutsReported = u64("timeouts");
-    s.groupsShed = u64("shed");
-    std::size_t ing = line.find("\"ingest\":{");
-    s.forcedReleases = u64("forced", ing);
-    std::size_t mem = line.find("\"memory\":{");
-    s.memoryEvictions = u64("evictions", mem);
-    s.internerCapRejected = u64("internerCapRejected", mem);
-    std::size_t feed = line.find("\"feedLatencyUs\":{");
-    s.feedP99us = numberValue(line, "p99", feed);
-    std::size_t wal = line.find("\"walAppendUs\":{");
-    s.walAppendP99us = numberValue(line, "p99", wal);
-    return s;
-}
-
 int
 cmdReplay(const std::vector<std::string> &args)
 {
@@ -293,10 +249,10 @@ cmdReplay(const std::vector<std::string> &args)
     std::size_t snapshots = 0;
     std::size_t alerts = 0;
     while (std::getline(in, line)) {
-        if (line.find("\"kind\":\"HEALTH\"") == std::string::npos)
+        if (!obs::HealthSample::isJson(line))
             continue;
         ++snapshots;
-        engine.observe(sampleFromJson(line));
+        engine.observe(obs::HealthSample::fromJson(line));
         for (const std::string &alert : engine.drainAlertLines()) {
             ++alerts;
             std::printf("%s\n", alert.c_str());

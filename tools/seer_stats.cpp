@@ -38,13 +38,18 @@
 #include <thread>
 #include <vector>
 
+#include "obs/health_fields.hpp"
+
 namespace {
+
+using namespace cloudseer;
 
 /**
  * Extract the value after `"key":` at or past `from`, as raw text up
- * to the next delimiter. Returns "" when absent. The health schema is
- * flat numbers inside at most one level of nesting, so substring
- * search keyed on the quoted name is unambiguous.
+ * to the next delimiter. Returns "" when absent. ALERT and SUMMARY
+ * records never repeat a key name where these readers look, so
+ * substring search keyed on the quoted name is unambiguous. HEALTH
+ * records are read with HealthSample::fromJson.
  */
 std::string
 rawValue(const std::string &line, const std::string &key,
@@ -80,12 +85,6 @@ std::size_t
 sectionStart(const std::string &line, const std::string &name)
 {
     return line.find("\"" + name + "\":{");
-}
-
-bool
-isHealthLine(const std::string &line)
-{
-    return line.find("\"kind\":\"HEALTH\"") != std::string::npos;
 }
 
 bool
@@ -180,73 +179,68 @@ printHeader()
                 "timeout", "shed", "p99us");
 }
 
-void
-printRow(const std::string &line)
+/** A counter as the table and detail views print it. */
+double
+num(std::uint64_t value)
 {
-    std::printf("%10.2f %10.0f %8.0f %8.0f %8.1f%% %7.0f %7.0f %6.0f "
-                "%9.1f\n",
-                numberValue(line, "time"),
-                numberValue(line, "messages"),
-                numberValue(line, "activeGroups"),
-                numberValue(line, "idsets"),
-                numberValue(line, "decisiveFraction") * 100.0,
-                numberValue(line, "errors"),
-                numberValue(line, "timeouts"),
-                numberValue(line, "shed"),
-                numberValue(line, "p99",
-                            sectionStart(line, "feedLatencyUs")));
+    return static_cast<double>(value);
 }
 
 void
-printDetail(const std::string &line)
+printRow(const obs::HealthSample &s)
+{
+    std::printf("%10.2f %10.0f %8.0f %8.0f %8.1f%% %7.0f %7.0f %6.0f "
+                "%9.1f\n",
+                s.time, num(s.messages), num(s.activeGroups),
+                num(s.activeIdentifierSets), s.decisiveFraction * 100.0,
+                num(s.errorsReported), num(s.timeoutsReported),
+                num(s.groupsShed), s.feedP99us);
+}
+
+void
+printDetail(const obs::HealthSample &s)
 {
     auto row = [](const char *label, double value) {
         std::printf("  %-28s %.6g\n", label, value);
     };
-    std::printf("health snapshot @ t=%.3f\n", numberValue(line, "time"));
+    std::printf("health snapshot @ t=%.3f\n", s.time);
     std::printf("checker:\n");
-    row("messages", numberValue(line, "messages"));
-    row("decisive", numberValue(line, "decisive"));
-    row("ambiguous", numberValue(line, "ambiguous"));
-    std::size_t rec = sectionStart(line, "recoveries");
-    row("recovery a (pass unknown)", numberValue(line, "a", rec));
-    row("recovery b (new sequence)", numberValue(line, "b", rec));
-    row("recovery c (other set)", numberValue(line, "c", rec));
-    row("recovery d (false dep)", numberValue(line, "d", rec));
-    row("unmatched", numberValue(line, "unmatched"));
-    row("accepted", numberValue(line, "accepted"));
-    row("errors reported", numberValue(line, "errors"));
-    row("timeouts reported", numberValue(line, "timeouts"));
-    row("timeouts suppressed", numberValue(line, "suppressed"));
-    row("groups shed", numberValue(line, "shed"));
-    row("decisive fraction",
-        numberValue(line, "decisiveFraction"));
-    row("active groups", numberValue(line, "activeGroups"));
-    row("identifier sets", numberValue(line, "idsets"));
+    row("messages", num(s.messages));
+    row("decisive", num(s.decisive));
+    row("ambiguous", num(s.ambiguous));
+    row("recovery a (pass unknown)", num(s.recoveredPassUnknown));
+    row("recovery b (new sequence)", num(s.recoveredNewSequence));
+    row("recovery c (other set)", num(s.recoveredOtherSet));
+    row("recovery d (false dep)", num(s.recoveredFalseDependency));
+    row("unmatched", num(s.unmatched));
+    row("accepted", num(s.accepted));
+    row("errors reported", num(s.errorsReported));
+    row("timeouts reported", num(s.timeoutsReported));
+    row("timeouts suppressed", num(s.timeoutsSuppressed));
+    row("groups shed", num(s.groupsShed));
+    row("decisive fraction", s.decisiveFraction);
+    row("active groups", num(s.activeGroups));
+    row("identifier sets", num(s.activeIdentifierSets));
     std::printf("ingest:\n");
-    std::size_t ing = sectionStart(line, "ingest");
-    row("lines", numberValue(line, "lines", ing));
-    row("malformed", numberValue(line, "malformed", ing));
-    row("clamped", numberValue(line, "clamped", ing));
-    row("duplicates suppressed", numberValue(line, "duplicates", ing));
-    row("forced releases", numberValue(line, "forced", ing));
-    row("reorder-buffer peak", numberValue(line, "reorderPeak", ing));
+    row("lines", num(s.linesSeen));
+    row("malformed", num(s.malformedLines));
+    row("clamped", num(s.nonMonotonicClamped));
+    row("duplicates suppressed", num(s.duplicatesSuppressed));
+    row("forced releases", num(s.forcedReleases));
+    row("reorder-buffer peak", num(s.reorderBufferPeak));
     std::printf("interner:\n");
-    std::size_t intr = sectionStart(line, "interner");
-    double hits = numberValue(line, "hits", intr);
-    double misses = numberValue(line, "misses", intr);
-    row("size", numberValue(line, "size", intr));
+    double hits = num(s.internerHits);
+    double misses = num(s.internerMisses);
+    row("size", num(s.internerSize));
     row("hit rate", hits + misses > 0.0 ? hits / (hits + misses) : 0.0);
     std::printf("timeout policy:\n");
-    std::size_t pol = sectionStart(line, "timeoutPolicy");
-    row("resolutions", numberValue(line, "resolutions", pol));
-    row("default fallbacks", numberValue(line, "fallbacks", pol));
+    row("resolutions", num(s.timeoutResolutions));
+    row("default fallbacks", num(s.timeoutDefaultFallbacks));
     std::printf("feed latency (us):\n");
-    std::size_t lat = sectionStart(line, "feedLatencyUs");
-    row("p50", numberValue(line, "p50", lat));
-    row("p90", numberValue(line, "p90", lat));
-    row("p99", numberValue(line, "p99", lat));
-    row("max", numberValue(line, "max", lat));
+    row("p50", s.feedP50us);
+    row("p90", s.feedP90us);
+    row("p99", s.feedP99us);
+    row("max", s.feedMaxUs);
 }
 
 int
@@ -293,8 +287,8 @@ follow(const std::string &path, long poll_limit)
                 consumed = at;
             idle_polls = 0;
             warned_idle = false;
-            if (isHealthLine(line))
-                printRow(line);
+            if (obs::HealthSample::isJson(line))
+                printRow(obs::HealthSample::fromJson(line));
             else if (isAlertLine(line))
                 printAlert(line);
             continue;
@@ -406,7 +400,7 @@ main(int argc, char **argv)
     std::string line;
     while (std::getline(*in, line)) {
         if (summaryMode ? isSummaryLine(line)
-                        : (isHealthLine(line) ||
+                        : (obs::HealthSample::isJson(line) ||
                            (tableMode && isAlertLine(line)))) {
             samples.push_back(line);
         }
@@ -422,14 +416,14 @@ main(int argc, char **argv)
         return 0;
     }
     if (lastOnly) {
-        printDetail(samples.back());
+        printDetail(obs::HealthSample::fromJson(samples.back()));
     } else {
         printHeader();
         for (const std::string &sample : samples) {
             if (isAlertLine(sample))
                 printAlert(sample);
             else
-                printRow(sample);
+                printRow(obs::HealthSample::fromJson(sample));
         }
     }
     return 0;
